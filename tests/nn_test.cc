@@ -1,5 +1,10 @@
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +13,8 @@
 #include "nn/tcnn.h"
 #include "nn/tree_conv.h"
 #include "plan/plan_node.h"
+#include "simdb/database.h"
+#include "workloads/workloads.h"
 
 namespace limeqo::nn {
 namespace {
@@ -280,6 +287,92 @@ TEST(TcnnTest, ParameterCountLargerWithEmbeddings) {
   TcnnModel b(10, 5, without);
   EXPECT_GT(a.NumParameters(), b.NumParameters());
   EXPECT_GT(b.NumParameters(), 0);
+}
+
+// FNV-1a over exact double bit patterns, so the hash pins values bitwise.
+void MixBits(uint64_t* h, double v) {
+  unsigned char bytes[sizeof(v)];
+  std::memcpy(bytes, &v, sizeof(v));
+  for (unsigned char b : bytes) {
+    *h ^= b;
+    *h *= 0x100000001B3ULL;
+  }
+}
+
+// Pins the TCNN's training and inference arithmetic bitwise: the bench's
+// LimeQO+ shape (conv {16, 8}, fc {16}, dropout 0.3, r = 5, censored loss)
+// trained on a fixed mix of complete and censored samples over the real
+// JOB plans, then the exact bits of each returned loss and of PredictLog
+// over every (query, hint). The same shape without embeddings (the plain
+// Bao-style TCNN) is pinned alongside. Any change to an accumulation order,
+// the dropout draw order, or the Adam update moves a hash. Regenerate with
+// LIMEQO_PRINT_TCNN_HASH=1, but only when a change *intends* to alter
+// training numerics.
+struct PinnedTcnn {
+  bool use_embeddings;
+  uint64_t expected_hash;
+};
+constexpr PinnedTcnn kPinnedTcnns[] = {
+    {true, 0x983860C86AB182EDULL},
+    {false, 0xE327C62946996A6CULL},
+};
+
+TEST(TcnnTest, TrainingIsBitwisePinned) {
+  simdb::SimulatedDatabase db(
+      std::move(workloads::MakeWorkload(workloads::WorkloadId::kJob, 1.0, 42))
+          .value());
+  std::vector<std::unique_ptr<FlatPlan>> flats;
+  std::vector<TcnnSample> samples;
+  for (int i = 0; i < db.num_queries(); ++i) {
+    for (int j = 0; j < db.num_hints(); ++j) {
+      flats.push_back(
+          std::make_unique<FlatPlan>(plan::FlattenPlan(db.Plan(i, j))));
+      const int bucket = (7 * i + j) % 13;
+      if (bucket == 0) {
+        samples.push_back({flats.back().get(), i, j,
+                           std::log1p(db.TrueLatency(i, j)), false});
+      } else if (bucket == 5) {
+        // Censored at half the true latency: a lower bound on the truth.
+        samples.push_back({flats.back().get(), i, j,
+                           std::log1p(0.5 * db.TrueLatency(i, j)), true});
+      }
+    }
+  }
+  ASSERT_GT(samples.size(), 500u);
+
+  const bool print_mode = std::getenv("LIMEQO_PRINT_TCNN_HASH") != nullptr;
+  for (const PinnedTcnn& pinned : kPinnedTcnns) {
+    TcnnOptions opt;
+    opt.conv_channels = {16, 8};
+    opt.fc_hidden = {16};
+    opt.dropout_p = 0.3;
+    opt.embedding_dim = 5;
+    opt.censored_loss = true;
+    opt.use_embeddings = pinned.use_embeddings;
+    opt.max_epochs = 3;
+    TcnnModel model(db.num_queries(), db.num_hints(), opt);
+    uint64_t h = 0xCBF29CE484222325ULL;
+    // Two fits: the second continues from the retained weights and Adam
+    // moments, as successive exploration steps do.
+    MixBits(&h, model.Train(samples));
+    MixBits(&h, model.Train(samples));
+    for (int i = 0; i < db.num_queries(); ++i) {
+      for (int j = 0; j < db.num_hints(); ++j) {
+        const FlatPlan& flat =
+            *flats[static_cast<size_t>(i) * db.num_hints() + j];
+        MixBits(&h, model.PredictLog(flat, i, j));
+      }
+    }
+    if (print_mode) {
+      std::printf("    {%s, 0x%016llXULL},\n",
+                  pinned.use_embeddings ? "true" : "false",
+                  static_cast<unsigned long long>(h));
+      continue;
+    }
+    EXPECT_EQ(h, pinned.expected_hash)
+        << "TCNN numerics changed bitwise (use_embeddings="
+        << pinned.use_embeddings << ")";
+  }
 }
 
 }  // namespace
