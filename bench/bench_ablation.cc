@@ -1,6 +1,7 @@
-// Ablations for the implementation-level design choices documented in
-// DESIGN.md Sec. 1.2 (these are this reproduction's additions on top of the
-// paper's pseudocode, so they deserve their own evidence):
+// Ablations for the implementation-level design choices documented with
+// FitSpace and AlsOptions in src/core/als.h and with ModelGuidedPolicy's
+// min_ratio in src/core/policy.h (these are this reproduction's additions on
+// top of the paper's pseudocode, so they deserve their own evidence):
 //
 //   * ALS fit space: raw (Algorithm 2 verbatim) vs log-ratio,
 //   * minimum actionable improvement ratio: 0 (paper's r_i > 0) vs 0.05,
@@ -33,7 +34,7 @@ struct Arm {
 
 void Run() {
   PrintBanner("Ablation",
-              "Design choices of this reproduction (DESIGN.md Sec. 1.2)",
+              "Design choices of this reproduction (src/core/als.h FitSpace)",
               "LimeQO on CEB at scale 0.20, 2 seeds; cells are % of the "
               "default total (optimal ~35%).");
 
@@ -83,7 +84,8 @@ void Run() {
   std::printf(
       "\nExpected: the default configuration is at or near the best at "
       "every budget; raw fit space and min_ratio = 0 degrade early "
-      "exploration most (they are the stall modes DESIGN.md documents).\n");
+      "exploration most (the stall modes documented with FitSpace in "
+      "src/core/als.h and min_ratio in src/core/policy.h).\n");
 }
 
 }  // namespace

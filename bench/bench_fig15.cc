@@ -130,7 +130,8 @@ void Run() {
       "r in 3..9; LimeQO+ is stable across all ranks. In this reproduction "
       "the rank effect appears in completion accuracy (above), while the "
       "exploration curves are robust even at r <= 2 thanks to the "
-      "baseline-plus-residual linear model (DESIGN.md Sec. 1.2).\n");
+      "baseline-plus-residual linear model (FitSpace::kLogRatio and "
+      "AlsOptions in src/core/als.h).\n");
 }
 
 }  // namespace

@@ -14,15 +14,12 @@ void Adam::Rebind(std::vector<Param*> params) {
   m.reserve(params.size());
   v.reserve(params.size());
   for (size_t i = 0; i < params.size(); ++i) {
-    bool reused = false;
     if (i < params_.size() && params_[i] == params[i] &&
         m_[i].rows() == params[i]->value.rows() &&
         m_[i].cols() == params[i]->value.cols()) {
       m.push_back(m_[i]);
       v.push_back(v_[i]);
-      reused = true;
-    }
-    if (!reused) {
+    } else {
       m.emplace_back(params[i]->value.rows(), params[i]->value.cols());
       v.emplace_back(params[i]->value.rows(), params[i]->value.cols());
     }
@@ -39,31 +36,20 @@ void Adam::Step(int batch_size) {
   const double bc2 = 1.0 - std::pow(options_.beta2, step_);
   for (size_t p = 0; p < params_.size(); ++p) {
     Param& param = *params_[p];
-    // Embedding tables can grow between steps; resize moments lazily.
-    if (m_[p].rows() != param.value.rows() ||
-        m_[p].cols() != param.value.cols()) {
-      linalg::Matrix m_new(param.value.rows(), param.value.cols());
-      linalg::Matrix v_new(param.value.rows(), param.value.cols());
-      for (size_t i = 0; i < m_[p].rows() && i < m_new.rows(); ++i) {
-        for (size_t j = 0; j < m_[p].cols() && j < m_new.cols(); ++j) {
-          m_new(i, j) = m_[p](i, j);
-          v_new(i, j) = v_[p](i, j);
-        }
-      }
-      m_[p] = std::move(m_new);
-      v_[p] = std::move(v_new);
-    }
-    for (size_t i = 0; i < param.value.rows(); ++i) {
-      for (size_t j = 0; j < param.value.cols(); ++j) {
-        const double g = param.grad(i, j) / batch_size;
-        m_[p](i, j) = options_.beta1 * m_[p](i, j) + (1.0 - options_.beta1) * g;
-        v_[p](i, j) =
-            options_.beta2 * v_[p](i, j) + (1.0 - options_.beta2) * g * g;
-        const double m_hat = m_[p](i, j) / bc1;
-        const double v_hat = v_[p](i, j) / bc2;
-        param.value(i, j) -=
-            options_.learning_rate * m_hat / (std::sqrt(v_hat) + options_.epsilon);
-      }
+    // A parameter that changed shape (a grown embedding) needs Rebind.
+    LIMEQO_CHECK(m_[p].size() == param.value.size());
+    double* value = param.value.data();
+    const double* grad = param.grad.data();
+    double* m = m_[p].data();
+    double* v = v_[p].data();
+    for (size_t k = 0; k < param.value.size(); ++k) {
+      const double g = grad[k] / batch_size;
+      m[k] = options_.beta1 * m[k] + (1.0 - options_.beta1) * g;
+      v[k] = options_.beta2 * v[k] + (1.0 - options_.beta2) * g * g;
+      const double m_hat = m[k] / bc1;
+      const double v_hat = v[k] / bc2;
+      value[k] -= options_.learning_rate * m_hat /
+                  (std::sqrt(v_hat) + options_.epsilon);
     }
     param.ZeroGrad();
   }

@@ -23,7 +23,8 @@ class Adam {
   Adam(std::vector<Param*> params, AdamOptions options = {});
 
   /// Applies one update using the currently accumulated gradients divided
-  /// by `batch_size`, then zeroes all gradients.
+  /// by `batch_size`, then zeroes all gradients. Every parameter must still
+  /// have the shape it was (re)bound with.
   void Step(int batch_size);
 
   /// Re-binds to a (possibly larger) parameter set, e.g. after an embedding

@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace limeqo::nn {
@@ -17,67 +18,49 @@ Linear::Linear(int in_dim, int out_dim, Rng* rng, bool has_bias)
   }
 }
 
-Vec Linear::Forward(const Vec& x) const {
-  LIMEQO_CHECK(static_cast<int>(x.size()) == in_dim());
-  Vec y(out_dim());
+void Linear::Forward(const double* x, double* y) const {
+  const int in = in_dim();
   for (int i = 0; i < out_dim(); ++i) {
-    double s = b_.value(i, 0);
-    for (int j = 0; j < in_dim(); ++j) s += w_.value(i, j) * x[j];
+    const double* w_row = w_.value.data() + static_cast<size_t>(i) * in;
+    double s = b_.value.data()[i];
+    for (int j = 0; j < in; ++j) s += w_row[j] * x[j];
     y[i] = s;
   }
-  return y;
 }
 
-Vec Linear::Backward(const Vec& grad_out, const Vec& input) {
-  LIMEQO_CHECK(static_cast<int>(grad_out.size()) == out_dim());
-  LIMEQO_CHECK(static_cast<int>(input.size()) == in_dim());
-  Vec grad_in(in_dim(), 0.0);
+void Linear::Backward(const double* grad_out, const double* input,
+                      double* grad_in) {
+  const int in = in_dim();
+  const double* w = w_.value.data();
+  double* w_grad = w_.grad.data();
+  double* b_grad = b_.grad.data();
+  if (grad_in != nullptr) std::fill(grad_in, grad_in + in, 0.0);
   for (int i = 0; i < out_dim(); ++i) {
     const double g = grad_out[i];
-    if (has_bias_) b_.grad(i, 0) += g;
-    for (int j = 0; j < in_dim(); ++j) {
-      w_.grad(i, j) += g * input[j];
-      grad_in[j] += g * w_.value(i, j);
-    }
+    if (has_bias_) b_grad[i] += g;
+    const size_t row = static_cast<size_t>(i) * in;
+    for (int j = 0; j < in; ++j) w_grad[row + j] += g * input[j];
+    if (grad_in == nullptr) continue;
+    for (int j = 0; j < in; ++j) grad_in[j] += g * w[row + j];
   }
-  return grad_in;
 }
 
-Vec LeakyRelu(const Vec& x, double leak) {
-  Vec y(x.size());
-  for (size_t i = 0; i < x.size(); ++i) y[i] = x[i] > 0.0 ? x[i] : leak * x[i];
-  return y;
+void LeakyRelu(const double* x, double* y, size_t n, double leak) {
+  for (size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0 ? x[i] : leak * x[i];
 }
 
-Vec LeakyReluBackward(const Vec& grad_out, const Vec& input, double leak) {
-  LIMEQO_CHECK(grad_out.size() == input.size());
-  Vec g(input.size());
-  for (size_t i = 0; i < input.size(); ++i) {
-    g[i] = grad_out[i] * (input[i] > 0.0 ? 1.0 : leak);
-  }
-  return g;
+void LeakyReluBackward(const double* input, double* grad, size_t n,
+                       double leak) {
+  for (size_t i = 0; i < n; ++i) grad[i] *= input[i] > 0.0 ? 1.0 : leak;
 }
 
-Vec Dropout::Forward(const Vec& x, bool training, Rng* rng) {
-  if (!training || p_ == 0.0) {
-    mask_.assign(x.size(), 1.0);
-    return x;
+void Dropout(double p, Rng* rng, double* x, double* mask, size_t n) {
+  const double keep_scale = 1.0 / (1.0 - p);
+  for (size_t i = 0; i < n; ++i) {
+    // p = 0 keeps every unit (factor 1) and makes no draws.
+    mask[i] = p > 0.0 && rng->Bernoulli(p) ? 0.0 : keep_scale;
+    x[i] *= mask[i];
   }
-  mask_.resize(x.size());
-  Vec y(x.size());
-  const double keep_scale = 1.0 / (1.0 - p_);
-  for (size_t i = 0; i < x.size(); ++i) {
-    mask_[i] = rng->Bernoulli(p_) ? 0.0 : keep_scale;
-    y[i] = x[i] * mask_[i];
-  }
-  return y;
-}
-
-Vec Dropout::Backward(const Vec& grad_out) const {
-  LIMEQO_CHECK(grad_out.size() == mask_.size());
-  Vec g(grad_out.size());
-  for (size_t i = 0; i < grad_out.size(); ++i) g[i] = grad_out[i] * mask_[i];
-  return g;
 }
 
 Embedding::Embedding(int count, int dim, Rng* rng) {
@@ -90,25 +73,25 @@ Embedding::Embedding(int count, int dim, Rng* rng) {
   }
 }
 
-Vec Embedding::Forward(int index) const {
+const double* Embedding::Row(int index) const {
   LIMEQO_CHECK(index >= 0 && index < count());
-  return table_.value.Row(index);
+  return table_.value.data() + static_cast<size_t>(index) * dim();
 }
 
-void Embedding::Backward(int index, const Vec& grad_out) {
+void Embedding::Backward(int index, const double* grad_out) {
   LIMEQO_CHECK(index >= 0 && index < count());
-  LIMEQO_CHECK(static_cast<int>(grad_out.size()) == dim());
-  for (int j = 0; j < dim(); ++j) table_.grad(index, j) += grad_out[j];
+  double* row = table_.grad.data() + static_cast<size_t>(index) * dim();
+  for (int j = 0; j < dim(); ++j) row[j] += grad_out[j];
 }
 
 void Embedding::Append(int additional, Rng* rng) {
   LIMEQO_CHECK(additional > 0);
   const int d = dim();
   for (int a = 0; a < additional; ++a) {
-    Vec row(d);
+    std::vector<double> row(d);
     for (double& x : row) x = rng->Gaussian(0.0, 0.1);
     table_.value.AppendRow(row);
-    table_.grad.AppendRow(Vec(d, 0.0));
+    table_.grad.AppendRow(std::vector<double>(d, 0.0));
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef LIMEQO_NN_LAYERS_H_
 #define LIMEQO_NN_LAYERS_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/rng.h"
@@ -8,6 +9,10 @@
 #include "linalg/matrix.h"
 
 namespace limeqo::nn {
+
+// The kernels below read and write slices of caller-owned row-major buffers
+// (the TCNN's workspace) and allocate nothing. Shapes are the caller's
+// contract, checked by TcnnModel once per sample and layer.
 
 /// A trainable parameter: value plus accumulated gradient of the same shape.
 struct Param {
@@ -20,9 +25,6 @@ struct Param {
   void ZeroGrad() { grad *= 0.0; }
 };
 
-/// Vector alias used for per-node / per-sample activations.
-using Vec = std::vector<double>;
-
 /// y = W x + b. Gradients accumulate across samples until ZeroGrad.
 class Linear {
  public:
@@ -31,11 +33,13 @@ class Linear {
   /// filters of tree convolution, which share the parent filter's bias).
   Linear(int in_dim, int out_dim, Rng* rng, bool has_bias = true);
 
-  Vec Forward(const Vec& x) const;
+  /// Writes y[0, out_dim) from x[0, in_dim). Each output starts from its
+  /// bias and adds the inputs in ascending index order.
+  void Forward(const double* x, double* y) const;
 
-  /// Accumulates dL/dW and dL/db given dL/dy and the forward input; returns
-  /// dL/dx.
-  Vec Backward(const Vec& grad_out, const Vec& input);
+  /// Accumulates dL/dW and dL/db given dL/dy and the forward input, and
+  /// overwrites grad_in[0, in_dim) with dL/dx unless grad_in is null.
+  void Backward(const double* grad_out, const double* input, double* grad_in);
 
   int in_dim() const { return static_cast<int>(w_.value.cols()); }
   int out_dim() const { return static_cast<int>(w_.value.rows()); }
@@ -52,30 +56,19 @@ class Linear {
   bool has_bias_ = true;
 };
 
-/// Element-wise leaky ReLU (slope `leak` for negative inputs).
-Vec LeakyRelu(const Vec& x, double leak = 0.01);
+/// Element-wise leaky ReLU y = x > 0 ? x : leak * x over n units.
+void LeakyRelu(const double* x, double* y, size_t n, double leak = 0.01);
 
-/// Backward of LeakyRelu given the forward *input*.
-Vec LeakyReluBackward(const Vec& grad_out, const Vec& input,
-                      double leak = 0.01);
+/// Backward of LeakyRelu in place: grad[i] *= (input[i] > 0 ? 1 : leak),
+/// given the forward *input*.
+void LeakyReluBackward(const double* input, double* grad, size_t n,
+                       double leak = 0.01);
 
-/// Inverted dropout: scales kept units by 1/(1-p) at training time so
-/// inference needs no rescaling (paper uses p = 0.3 between tree
-/// convolution layers).
-class Dropout {
- public:
-  explicit Dropout(double p) : p_(p) { LIMEQO_CHECK(p >= 0.0 && p < 1.0); }
-
-  /// Samples a fresh mask when training; identity otherwise.
-  Vec Forward(const Vec& x, bool training, Rng* rng);
-
-  /// Uses the mask from the most recent training Forward.
-  Vec Backward(const Vec& grad_out) const;
-
- private:
-  double p_;
-  Vec mask_;
-};
+/// Inverted dropout at training time, in place over n units: one Bernoulli
+/// draw per unit in index order, kept units scaled by 1/(1-p) so inference
+/// needs no rescaling (paper uses p = 0.3 between tree convolution layers).
+/// `mask` receives each unit's factor (0 or 1/(1-p); all 1 when p = 0).
+void Dropout(double p, Rng* rng, double* x, double* mask, size_t n);
 
 /// Lookup table of `count` learnable vectors of size `dim`. Provides the
 /// query/hint embeddings of the transductive TCNN (paper Fig. 4); rows are
@@ -85,10 +78,11 @@ class Embedding {
  public:
   Embedding(int count, int dim, Rng* rng);
 
-  Vec Forward(int index) const;
+  /// The dim() values of row `index`.
+  const double* Row(int index) const;
 
-  /// Accumulates the gradient into the indexed row.
-  void Backward(int index, const Vec& grad_out);
+  /// Accumulates grad_out[0, dim) into the indexed row's gradient.
+  void Backward(int index, const double* grad_out);
 
   /// Grows the table for newly arrived queries (workload shift).
   void Append(int additional, Rng* rng);

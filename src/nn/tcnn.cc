@@ -3,34 +3,23 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <utility>
 
 namespace limeqo::nn {
 
-struct TcnnModel::ForwardCache {
-  /// conv_inputs[l] = per-node inputs to conv layer l; the entry at
-  /// conv_channels.size() holds the final per-node activations.
-  std::vector<std::vector<Vec>> conv_inputs;
-  /// Pre-activation outputs of each conv layer (needed by LeakyRelu grad).
-  std::vector<std::vector<Vec>> conv_preact;
-  std::vector<int> pool_argmax;
-  Vec head_input;
-  /// fc_inputs[l] = input to fc layer l; fc_preact[l] = its pre-activation.
-  std::vector<Vec> fc_inputs;
-  std::vector<Vec> fc_preact;
-};
-
 TcnnModel::TcnnModel(int num_queries, int num_hints,
                      const TcnnOptions& options)
-    : options_(options), num_hints_(num_hints), rng_(options.seed) {
+    : options_(options), rng_(options.seed) {
   LIMEQO_CHECK(num_queries > 0 && num_hints > 0);
   LIMEQO_CHECK(!options_.conv_channels.empty());
   LIMEQO_CHECK(!options_.fc_hidden.empty());
+  LIMEQO_CHECK(options_.dropout_p >= 0.0 && options_.dropout_p < 1.0);
 
   int in_dim = plan::kNodeFeatureDim;
   for (int channels : options_.conv_channels) {
     conv_layers_.emplace_back(in_dim, channels, &rng_);
-    dropouts_.emplace_back(options_.dropout_p);
     in_dim = channels;
+    ws_.widest = std::max(ws_.widest, channels);
   }
 
   int head_in = options_.conv_channels.back();
@@ -42,13 +31,18 @@ TcnnModel::TcnnModel(int num_queries, int num_hints,
     head_in += 2 * options_.embedding_dim;
   }
   int fc_in = head_in;
+  ws_.widest = std::max(ws_.widest, head_in);
   for (int hidden : options_.fc_hidden) {
     fc_layers_.emplace_back(fc_in, hidden, &rng_);
     fc_in = hidden;
+    ws_.widest = std::max(ws_.widest, hidden);
   }
   fc_layers_.emplace_back(fc_in, 1, &rng_);
 
   adam_ = std::make_unique<Adam>(AllParams(), options_.adam);
+  ws_.conv.resize(conv_layers_.size());
+  ws_.fc.resize(fc_layers_.size());
+  ws_.argmax.resize(options_.conv_channels.back());
 }
 
 std::vector<Param*> TcnnModel::AllParams() {
@@ -78,99 +72,133 @@ long TcnnModel::NumParameters() {
   return total;
 }
 
+void TcnnModel::Prepare(const plan::FlatPlan& flat) {
+  const int n = flat.num_nodes();
+  LIMEQO_CHECK(n > 0 && static_cast<int>(flat.right_child.size()) == n);
+  LIMEQO_CHECK(flat.features.size() ==
+               static_cast<size_t>(n) * plan::kNodeFeatureDim);
+  for (int i = 0; i < n; ++i) {
+    LIMEQO_CHECK(flat.left_child[i] >= -1 && flat.left_child[i] < n);
+    LIMEQO_CHECK(flat.right_child[i] >= -1 && flat.right_child[i] < n);
+  }
+  if (n <= ws_.max_nodes) return;
+
+  // Grow. Every slice is `widest` doubles per row: n rows for the per-node
+  // slices, one row for the head's.
+  ws_.max_nodes = n;
+  const size_t widest = ws_.widest, rows = static_cast<size_t>(n) * widest;
+  ws_.data.assign((3 * ws_.conv.size() + 2) * rows +
+                      (2 * ws_.fc.size() + 4) * widest,
+                  0.0);
+  double* next = ws_.data.data();
+  auto take = [&next](size_t count) {
+    return std::exchange(next, next + count);
+  };
+  for (auto& conv : ws_.conv) conv = {take(rows), take(rows), take(rows)};
+  for (double*& grad : ws_.node_grad) grad = take(rows);
+  for (auto& fc : ws_.fc) fc = {take(widest), take(widest)};
+  for (double** row :
+       {&ws_.head, &ws_.head_grad[0], &ws_.head_grad[1], &ws_.tmp}) {
+    *row = take(widest);
+  }
+  LIMEQO_CHECK(next == ws_.data.data() + ws_.data.size());
+}
+
 double TcnnModel::Forward(const plan::FlatPlan& flat, int query, int hint,
-                          bool training, ForwardCache* cache) {
+                          bool training) {
+  Prepare(flat);
+  const int n = flat.num_nodes();
+
   // Tree convolution stack.
-  std::vector<Vec> activations = flat.node_features;
-  if (cache) {
-    cache->conv_inputs.clear();
-    cache->conv_preact.clear();
-  }
+  const double* x = flat.features.data();
+  const double p = options_.dropout_p;
+  int width = plan::kNodeFeatureDim;
   for (size_t l = 0; l < conv_layers_.size(); ++l) {
-    if (cache) cache->conv_inputs.push_back(activations);
-    std::vector<Vec> pre = conv_layers_[l].Forward(flat, activations);
-    if (cache) cache->conv_preact.push_back(pre);
-    activations.resize(pre.size());
-    for (size_t i = 0; i < pre.size(); ++i) {
-      Vec a = LeakyRelu(pre[i]);
-      // Dropout between tree convolution layers (paper Sec. 5).
-      activations[i] = dropouts_[l].Forward(a, training, &rng_);
-    }
+    const TreeConvLayer& conv = conv_layers_[l];
+    LIMEQO_CHECK(conv.in_dim() == width);
+    width = conv.out_dim();
+    const size_t size = static_cast<size_t>(n) * width;
+    conv.Forward(flat, x, ws_.conv[l].pre, ws_.tmp);
+    LeakyRelu(ws_.conv[l].pre, ws_.conv[l].act, size);
+    // Dropout between tree convolution layers (paper Sec. 5); draws are
+    // node-major, then channel.
+    if (training) Dropout(p, &rng_, ws_.conv[l].act, ws_.conv[l].mask, size);
+    x = ws_.conv[l].act;
   }
-  if (cache) cache->conv_inputs.push_back(activations);
 
-  // Dynamic max pooling to a fixed-size vector.
-  std::vector<int> argmax;
-  Vec pooled = DynamicMaxPool::Forward(activations, &argmax);
-  if (cache) cache->pool_argmax = argmax;
-
-  // Concatenate the low-rank embeddings (transductive part, Fig. 4).
-  Vec head = pooled;
+  // Dynamic max pooling straight into the head input, then the low-rank
+  // embeddings (transductive part, Fig. 4).
+  MaxPoolForward(x, n, width, ws_.head, ws_.argmax.data());
   if (options_.use_embeddings) {
-    const Vec qv = query_embedding_->Forward(query);
-    const Vec hv = hint_embedding_->Forward(hint);
-    head.insert(head.end(), qv.begin(), qv.end());
-    head.insert(head.end(), hv.begin(), hv.end());
+    const int r = options_.embedding_dim;
+    std::copy_n(query_embedding_->Row(query), r, ws_.head + width);
+    std::copy_n(hint_embedding_->Row(hint), r, ws_.head + width + r);
+    width += 2 * r;
   }
-  if (cache) cache->head_input = head;
 
   // Fully connected head; LeakyReLU between layers, linear output.
-  Vec x = std::move(head);
-  if (cache) {
-    cache->fc_inputs.clear();
-    cache->fc_preact.clear();
-  }
+  x = ws_.head;
   for (size_t l = 0; l < fc_layers_.size(); ++l) {
-    if (cache) cache->fc_inputs.push_back(x);
-    Vec pre = fc_layers_[l].Forward(x);
-    if (cache) cache->fc_preact.push_back(pre);
-    if (l + 1 < fc_layers_.size()) {
-      x = LeakyRelu(pre);
-    } else {
-      x = pre;
-    }
+    LIMEQO_CHECK(fc_layers_[l].in_dim() == width);
+    width = fc_layers_[l].out_dim();
+    fc_layers_[l].Forward(x, ws_.fc[l].pre);
+    LeakyRelu(ws_.fc[l].pre, ws_.fc[l].act, width);
+    x = ws_.fc[l].act;
   }
-  LIMEQO_CHECK(x.size() == 1);
-  return x[0];
+  LIMEQO_CHECK(width == 1);
+  return ws_.fc.back().pre[0];
 }
 
 void TcnnModel::Backward(const plan::FlatPlan& flat, int query, int hint,
-                         double grad_prediction, const ForwardCache& cache) {
-  // FC head, last layer first.
-  Vec grad{grad_prediction};
+                         double grad_prediction) {
+  const int n = flat.num_nodes();
+
+  // FC head, last layer first; the output layer is linear.
+  double* grad = ws_.head_grad[0];
+  double* grad_in = ws_.head_grad[1];
+  grad[0] = grad_prediction;
   for (size_t li = fc_layers_.size(); li > 0; --li) {
     const size_t l = li - 1;
+    Linear& fc = fc_layers_[l];
     if (l + 1 < fc_layers_.size()) {
-      grad = LeakyReluBackward(grad, cache.fc_preact[l]);
+      LeakyReluBackward(ws_.fc[l].pre, grad, fc.out_dim());
     }
-    grad = fc_layers_[l].Backward(grad, cache.fc_inputs[l]);
+    fc.Backward(grad, l == 0 ? ws_.head : ws_.fc[l - 1].act, grad_in);
+    std::swap(grad, grad_in);
   }
 
-  // Split the head gradient back into pooled / embedding parts.
+  // The head gradient splits into the pooled part and the embeddings.
   const int pooled_dim = options_.conv_channels.back();
-  Vec grad_pooled(grad.begin(), grad.begin() + pooled_dim);
   if (options_.use_embeddings) {
     const int r = options_.embedding_dim;
-    Vec gq(grad.begin() + pooled_dim, grad.begin() + pooled_dim + r);
-    Vec gh(grad.begin() + pooled_dim + r, grad.begin() + pooled_dim + 2 * r);
-    query_embedding_->Backward(query, gq);
-    hint_embedding_->Backward(hint, gh);
+    query_embedding_->Backward(query, grad + pooled_dim);
+    hint_embedding_->Backward(hint, grad + pooled_dim + r);
   }
 
   // Un-pool to per-node gradients.
-  std::vector<Vec> grad_nodes = DynamicMaxPool::Backward(
-      grad_pooled, cache.pool_argmax,
-      static_cast<int>(cache.conv_inputs.back().size()));
+  double* grad_nodes = ws_.node_grad[0];
+  double* grad_nodes_in = ws_.node_grad[1];
+  MaxPoolBackward(grad, ws_.argmax.data(), n, pooled_dim, grad_nodes);
 
   // Conv stack, last layer first: dropout -> leaky relu -> tree conv.
   for (size_t li = conv_layers_.size(); li > 0; --li) {
     const size_t l = li - 1;
-    for (size_t i = 0; i < grad_nodes.size(); ++i) {
-      Vec g = dropouts_[l].Backward(grad_nodes[i]);
-      grad_nodes[i] = LeakyReluBackward(g, cache.conv_preact[l][i]);
+    TreeConvLayer& conv = conv_layers_[l];
+    const int c = conv.out_dim();
+    // Known defect, kept so training stays bitwise: every node's gradient
+    // is masked with the *last* node's dropout factors instead of its own
+    // (ws_.conv[l].mask + i * c). Fixing it changes training, so the fix
+    // must be judged on exploration quality.
+    const double* mask = ws_.conv[l].mask + static_cast<size_t>(n - 1) * c;
+    for (int i = 0; i < n; ++i) {
+      double* g = grad_nodes + static_cast<size_t>(i) * c;
+      for (int k = 0; k < c; ++k) g[k] *= mask[k];
     }
-    grad_nodes =
-        conv_layers_[l].Backward(flat, cache.conv_inputs[l], grad_nodes);
+    LeakyReluBackward(ws_.conv[l].pre, grad_nodes, static_cast<size_t>(n) * c);
+    // Layer 0's input gradient (w.r.t. the plan features) is not needed.
+    conv.Backward(flat, l == 0 ? flat.features.data() : ws_.conv[l - 1].act,
+                  grad_nodes, l == 0 ? nullptr : grad_nodes_in, ws_.tmp);
+    std::swap(grad_nodes, grad_nodes_in);
   }
 }
 
@@ -189,27 +217,19 @@ double TcnnModel::Train(std::vector<TcnnSample> samples) {
       int batch_contributing = 0;
       for (size_t s = start; s < end; ++s) {
         const TcnnSample& sample = samples[s];
-        ForwardCache cache;
         const double pred =
-            Forward(*sample.flat, sample.query, sample.hint, true, &cache);
-        double grad = 0.0;
-        double loss = 0.0;
-        if (sample.censored && options_.censored_loss) {
-          // Eq. 8: only penalize predictions below the timeout threshold.
-          if (pred < sample.target) {
-            const double d = pred - sample.target;
-            loss = d * d;
-            grad = 2.0 * d;
-          }
-        } else {
-          const double d = pred - sample.target;
-          loss = d * d;
-          grad = 2.0 * d;
-        }
+            Forward(*sample.flat, sample.query, sample.hint, true);
+        // Eq. 8: a censored sample is only penalized for predictions below
+        // its timeout threshold.
+        const bool penalized = !(sample.censored && options_.censored_loss) ||
+                               pred < sample.target;
+        const double d = penalized ? pred - sample.target : 0.0;
+        const double loss = d * d;
+        const double grad = 2.0 * d;
         epoch_loss += loss;
         ++counted;
         if (grad != 0.0) {
-          Backward(*sample.flat, sample.query, sample.hint, grad, cache);
+          Backward(*sample.flat, sample.query, sample.hint, grad);
           ++batch_contributing;
         }
       }
@@ -234,7 +254,7 @@ double TcnnModel::Train(std::vector<TcnnSample> samples) {
 
 double TcnnModel::PredictLog(const plan::FlatPlan& flat, int query,
                              int hint) {
-  return Forward(flat, query, hint, false, nullptr);
+  return Forward(flat, query, hint, false);
 }
 
 double TcnnModel::Predict(const plan::FlatPlan& flat, int query, int hint) {

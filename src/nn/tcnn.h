@@ -83,27 +83,50 @@ class TcnnModel {
   long NumParameters();
 
  private:
-  struct ForwardCache;
+  /// Per-sample scratch: one contiguous buffer cut into row-major
+  /// node x channel slices, sized for the largest plan seen and then
+  /// reused, so Train and PredictLog allocate nothing per sample. Forward
+  /// leaves in it everything Backward reads.
+  struct Workspace {
+    int max_nodes = 0;
+    int widest = plan::kNodeFeatureDim;  ///< Row width of every slice.
+    std::vector<double> data;
+    /// Per conv layer (n x channels): pre-activation, activation after
+    /// LeakyReLU and dropout (the next layer's input), dropout factors.
+    struct Conv { double *pre, *act, *mask; };
+    std::vector<Conv> conv;
+    /// Per fc layer: pre-activation and LeakyReLU output.
+    struct Fc { double *pre, *act; };
+    std::vector<Fc> fc;
+    /// Head input (pooled conv output, then the two embeddings), ping-pong
+    /// node (n x widest) and head gradients, one filter's scratch.
+    double *head = nullptr, *node_grad[2] = {}, *head_grad[2] = {},
+           *tmp = nullptr;
+    std::vector<int> argmax;
+  };
 
-  /// Forward pass; fills `cache` when training.
+  /// Checks the plan's shapes once per sample (node count, feature width,
+  /// child indices) and grows the workspace to its node count.
+  void Prepare(const plan::FlatPlan& flat);
+
+  /// Forward pass over the workspace; dropout only when training.
   double Forward(const plan::FlatPlan& flat, int query, int hint,
-                 bool training, ForwardCache* cache);
+                 bool training);
 
-  /// Backward pass for one sample given dLoss/dPrediction.
+  /// Backward pass of the preceding Forward's sample given dLoss/dPred.
   void Backward(const plan::FlatPlan& flat, int query, int hint,
-                double grad_prediction, const ForwardCache& cache);
+                double grad_prediction);
 
   std::vector<Param*> AllParams();
 
   TcnnOptions options_;
-  int num_hints_;
   std::vector<TreeConvLayer> conv_layers_;
-  std::vector<Dropout> dropouts_;
   std::vector<Linear> fc_layers_;
   std::unique_ptr<Embedding> query_embedding_;
   std::unique_ptr<Embedding> hint_embedding_;
   std::unique_ptr<Adam> adam_;
   Rng rng_;
+  Workspace ws_;
 };
 
 }  // namespace limeqo::nn

@@ -1,5 +1,6 @@
 #include "nn/tree_conv.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace limeqo::nn {
@@ -9,48 +10,42 @@ TreeConvLayer::TreeConvLayer(int in_dim, int out_dim, Rng* rng)
       w_left_(in_dim, out_dim, rng, /*has_bias=*/false),
       w_right_(in_dim, out_dim, rng, /*has_bias=*/false) {}
 
-std::vector<Vec> TreeConvLayer::Forward(const plan::FlatPlan& flat,
-                                        const std::vector<Vec>& inputs) const {
-  const int n = flat.num_nodes();
-  LIMEQO_CHECK(static_cast<int>(inputs.size()) == n);
-  std::vector<Vec> out(n);
-  for (int i = 0; i < n; ++i) {
-    Vec y = w_self_.Forward(inputs[i]);
-    if (flat.left_child[i] >= 0) {
-      const Vec yl = w_left_.Forward(inputs[flat.left_child[i]]);
-      for (size_t c = 0; c < y.size(); ++c) y[c] += yl[c];
-    }
-    if (flat.right_child[i] >= 0) {
-      const Vec yr = w_right_.Forward(inputs[flat.right_child[i]]);
-      for (size_t c = 0; c < y.size(); ++c) y[c] += yr[c];
-    }
-    out[i] = std::move(y);
+void TreeConvLayer::Forward(const plan::FlatPlan& flat, const double* inputs,
+                            double* out, double* tmp) const {
+  const size_t in = in_dim();
+  const int od = out_dim();
+  for (int i = 0; i < flat.num_nodes(); ++i) {
+    double* y = out + static_cast<size_t>(i) * od;
+    w_self_.Forward(inputs + i * in, y);
+    auto add_child = [&](const Linear& filter, int child) {
+      if (child < 0) return;
+      filter.Forward(inputs + child * in, tmp);
+      for (int c = 0; c < od; ++c) y[c] += tmp[c];
+    };
+    add_child(w_left_, flat.left_child[i]);
+    add_child(w_right_, flat.right_child[i]);
   }
-  return out;
 }
 
-std::vector<Vec> TreeConvLayer::Backward(const plan::FlatPlan& flat,
-                                         const std::vector<Vec>& inputs,
-                                         const std::vector<Vec>& grad_out) {
+void TreeConvLayer::Backward(const plan::FlatPlan& flat, const double* inputs,
+                             const double* grad_out, double* grad_in,
+                             double* tmp) {
   const int n = flat.num_nodes();
-  LIMEQO_CHECK(static_cast<int>(grad_out.size()) == n);
-  std::vector<Vec> grad_in(n, Vec(in_dim(), 0.0));
+  const size_t in = in_dim();
+  if (grad_in != nullptr) std::fill(grad_in, grad_in + n * in, 0.0);
   for (int i = 0; i < n; ++i) {
-    // Self contribution (includes the bias gradient).
-    Vec g_self = w_self_.Backward(grad_out[i], inputs[i]);
-    for (int c = 0; c < in_dim(); ++c) grad_in[i][c] += g_self[c];
-    if (flat.left_child[i] >= 0) {
-      const int l = flat.left_child[i];
-      Vec g = w_left_.Backward(grad_out[i], inputs[l]);
-      for (int c = 0; c < in_dim(); ++c) grad_in[l][c] += g[c];
-    }
-    if (flat.right_child[i] >= 0) {
-      const int r = flat.right_child[i];
-      Vec g = w_right_.Backward(grad_out[i], inputs[r]);
-      for (int c = 0; c < in_dim(); ++c) grad_in[r][c] += g[c];
-    }
+    const double* g = grad_out + static_cast<size_t>(i) * out_dim();
+    // Self contribution (includes the bias gradient), then the children.
+    auto filter_backward = [&](Linear& filter, int node) {
+      if (node < 0) return;
+      filter.Backward(g, inputs + node * in, grad_in ? tmp : nullptr);
+      if (grad_in == nullptr) return;
+      for (size_t c = 0; c < in; ++c) grad_in[node * in + c] += tmp[c];
+    };
+    filter_backward(w_self_, i);
+    filter_backward(w_left_, flat.left_child[i]);
+    filter_backward(w_right_, flat.right_child[i]);
   }
-  return grad_in;
 }
 
 std::vector<Param*> TreeConvLayer::params() {
@@ -61,32 +56,27 @@ std::vector<Param*> TreeConvLayer::params() {
   return all;
 }
 
-Vec DynamicMaxPool::Forward(const std::vector<Vec>& inputs,
-                            std::vector<int>* argmax) {
-  LIMEQO_CHECK(!inputs.empty());
-  const size_t channels = inputs[0].size();
-  Vec out(channels, -std::numeric_limits<double>::infinity());
-  argmax->assign(channels, 0);
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    for (size_t c = 0; c < channels; ++c) {
-      if (inputs[i][c] > out[c]) {
-        out[c] = inputs[i][c];
-        (*argmax)[c] = static_cast<int>(i);
+void MaxPoolForward(const double* inputs, int n, int channels, double* out,
+                    int* argmax) {
+  std::fill(out, out + channels, -std::numeric_limits<double>::infinity());
+  std::fill(argmax, argmax + channels, 0);
+  for (int i = 0; i < n; ++i) {
+    const double* row = inputs + static_cast<size_t>(i) * channels;
+    for (int c = 0; c < channels; ++c) {
+      if (row[c] > out[c]) {
+        out[c] = row[c];
+        argmax[c] = i;
       }
     }
   }
-  return out;
 }
 
-std::vector<Vec> DynamicMaxPool::Backward(const Vec& grad_out,
-                                          const std::vector<int>& argmax,
-                                          int num_nodes) {
-  LIMEQO_CHECK(grad_out.size() == argmax.size());
-  std::vector<Vec> grad_in(num_nodes, Vec(grad_out.size(), 0.0));
-  for (size_t c = 0; c < grad_out.size(); ++c) {
-    grad_in[argmax[c]][c] += grad_out[c];
+void MaxPoolBackward(const double* grad_out, const int* argmax, int n,
+                     int channels, double* grad_in) {
+  std::fill(grad_in, grad_in + static_cast<size_t>(n) * channels, 0.0);
+  for (int c = 0; c < channels; ++c) {
+    grad_in[static_cast<size_t>(argmax[c]) * channels + c] += grad_out[c];
   }
-  return grad_in;
 }
 
 }  // namespace limeqo::nn

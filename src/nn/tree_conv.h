@@ -15,19 +15,21 @@ namespace limeqo::nn {
 /// with absent children treated as zero vectors. The same filters slide
 /// over every (parent, left, right) triangle of the tree, giving the
 /// structural inductive bias that makes TCNNs effective on query plans.
+/// Buffers are row-major node x channel; child indices come from `flat`.
 class TreeConvLayer {
  public:
   TreeConvLayer(int in_dim, int out_dim, Rng* rng);
 
-  /// Applies the layer to every node. `inputs[i]` is node i's in_dim vector;
-  /// child indices come from `flat`. Returns per-node out_dim vectors.
-  std::vector<Vec> Forward(const plan::FlatPlan& flat,
-                           const std::vector<Vec>& inputs) const;
+  /// Writes every node's out_dim outputs into `out` (n x out_dim). Each
+  /// child filter sums into `tmp` (out_dim) before it is added.
+  void Forward(const plan::FlatPlan& flat, const double* inputs, double* out,
+               double* tmp) const;
 
-  /// Accumulates parameter gradients and returns per-node input gradients.
-  std::vector<Vec> Backward(const plan::FlatPlan& flat,
-                            const std::vector<Vec>& inputs,
-                            const std::vector<Vec>& grad_out);
+  /// Accumulates parameter gradients node by node (self, left, right).
+  /// Unless null, `grad_in` (n x in_dim) is overwritten with the input
+  /// gradients, each filter's summed into `tmp` (in_dim) before it is added.
+  void Backward(const plan::FlatPlan& flat, const double* inputs,
+                const double* grad_out, double* grad_in, double* tmp);
 
   int in_dim() const { return w_self_.in_dim(); }
   int out_dim() const { return w_self_.out_dim(); }
@@ -41,18 +43,16 @@ class TreeConvLayer {
   Linear w_right_;
 };
 
-/// Dynamic max pooling over the nodes of a tree: out[c] = max_i in_i[c].
-/// Reduces a variable-size tree to a fixed-size vector (paper Sec. 4.3.2).
-struct DynamicMaxPool {
-  /// Channel-wise max plus the winning node per channel (for backward).
-  static Vec Forward(const std::vector<Vec>& inputs,
-                     std::vector<int>* argmax);
+/// Dynamic max pooling over an n x channels buffer (paper Sec. 4.3.2):
+/// out[c] = max_i in[i][c], argmax[c] = the first winning node (0 when no
+/// value exceeds -inf). Reduces a variable-size tree to a fixed-size vector.
+void MaxPoolForward(const double* inputs, int n, int channels, double* out,
+                    int* argmax);
 
-  /// Routes each channel's gradient to the winning node.
-  static std::vector<Vec> Backward(const Vec& grad_out,
-                                   const std::vector<int>& argmax,
-                                   int num_nodes);
-};
+/// Overwrites grad_in (n x channels) with each channel's gradient routed to
+/// its winning node and zero elsewhere.
+void MaxPoolBackward(const double* grad_out, const int* argmax, int n,
+                     int channels, double* grad_in);
 
 }  // namespace limeqo::nn
 

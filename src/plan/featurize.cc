@@ -16,7 +16,8 @@ namespace {
 
 int FlattenRec(const PlanNode& node, FlatPlan* out) {
   const int idx = out->num_nodes();
-  out->node_features.push_back(FeaturizeNode(node));
+  const std::vector<double> f = FeaturizeNode(node);
+  out->features.insert(out->features.end(), f.begin(), f.end());
   out->left_child.push_back(-1);
   out->right_child.push_back(-1);
   if (node.left) out->left_child[idx] = FlattenRec(*node.left, out);

@@ -21,12 +21,13 @@ std::vector<double> FeaturizeNode(const PlanNode& node);
 /// convolution treats missing children as zero vectors, matching the
 /// "binarize then convolve" construction of Bao/Neo.
 struct FlatPlan {
-  /// node_features[i] is the feature vector of node i.
-  std::vector<std::vector<double>> node_features;
+  /// Row-major num_nodes x kNodeFeatureDim: node i's features start at
+  /// features[i * kNodeFeatureDim].
+  std::vector<double> features;
   std::vector<int> left_child;
   std::vector<int> right_child;
 
-  int num_nodes() const { return static_cast<int>(node_features.size()); }
+  int num_nodes() const { return static_cast<int>(left_child.size()); }
 };
 
 /// Flattens a plan tree into a FlatPlan (preorder, root at index 0).

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,16 +32,21 @@ FlatPlan SmallFlatPlan() {
   return plan::FlattenPlan(*root);
 }
 
+using Vec = std::vector<double>;
+
 TEST(LinearTest, ForwardMatchesManualComputation) {
   Rng rng(1);
   Linear layer(2, 1, &rng);
+  auto forward = [&](Vec x) {
+    double y = 0.0;
+    layer.Forward(x.data(), &y);
+    return y;
+  };
   // Read out the weights via a probe: y(e_i) - y(0) isolates column i.
-  Vec zero{0.0, 0.0};
-  const double b = layer.Forward(zero)[0];
-  const double w0 = layer.Forward({1.0, 0.0})[0] - b;
-  const double w1 = layer.Forward({0.0, 1.0})[0] - b;
-  const double y = layer.Forward({2.0, 3.0})[0];
-  EXPECT_NEAR(y, 2.0 * w0 + 3.0 * w1 + b, 1e-12);
+  const double b = forward({0.0, 0.0});
+  const double w0 = forward({1.0, 0.0}) - b;
+  const double w1 = forward({0.0, 1.0}) - b;
+  EXPECT_NEAR(forward({2.0, 3.0}), 2.0 * w0 + 3.0 * w1 + b, 1e-12);
 }
 
 TEST(LinearTest, GradientMatchesFiniteDifference) {
@@ -49,56 +55,65 @@ TEST(LinearTest, GradientMatchesFiniteDifference) {
   Vec x{0.5, -1.0, 2.0};
   // Loss = sum of outputs; dL/dy = (1, 1).
   Vec grad_out{1.0, 1.0};
-  Vec grad_in = layer.Backward(grad_out, x);
+  Vec grad_in(3, -7.0);  // overwritten, not accumulated into
+  layer.Backward(grad_out.data(), x.data(), grad_in.data());
   const double eps = 1e-6;
   for (int i = 0; i < 3; ++i) {
-    Vec xp = x, xm = x;
+    Vec xp = x, xm = x, yp(2), ym(2);
     xp[i] += eps;
     xm[i] -= eps;
-    const Vec yp = layer.Forward(xp);
-    const Vec ym = layer.Forward(xm);
+    layer.Forward(xp.data(), yp.data());
+    layer.Forward(xm.data(), ym.data());
     const double numeric =
         ((yp[0] + yp[1]) - (ym[0] + ym[1])) / (2.0 * eps);
     EXPECT_NEAR(grad_in[i], numeric, 1e-5);
   }
+  // A null grad_in still accumulates the parameter gradients.
+  Param* w = layer.params()[0];
+  const double before = w->grad(0, 0);
+  layer.Backward(grad_out.data(), x.data(), nullptr);
+  EXPECT_DOUBLE_EQ(w->grad(0, 0), before + x[0]);
 }
 
 TEST(LinearTest, NoBiasVariantHasZeroAtOrigin) {
   Rng rng(3);
   Linear layer(4, 3, &rng, /*has_bias=*/false);
-  Vec y = layer.Forward(Vec(4, 0.0));
+  Vec x(4, 0.0), y(3, 1.0);
+  layer.Forward(x.data(), y.data());
   for (double v : y) EXPECT_DOUBLE_EQ(v, 0.0);
   EXPECT_EQ(layer.params().size(), 1u);
 }
 
 TEST(LeakyReluTest, ForwardAndBackward) {
-  Vec x{-2.0, 0.0, 3.0};
-  Vec y = LeakyRelu(x, 0.1);
+  Vec x{-2.0, 0.0, 3.0}, y(3);
+  LeakyRelu(x.data(), y.data(), 3, 0.1);
   EXPECT_DOUBLE_EQ(y[0], -0.2);
   EXPECT_DOUBLE_EQ(y[2], 3.0);
-  Vec g = LeakyReluBackward({1.0, 1.0, 1.0}, x, 0.1);
+  Vec g{1.0, 1.0, 1.0};
+  LeakyReluBackward(x.data(), g.data(), 3, 0.1);
   EXPECT_DOUBLE_EQ(g[0], 0.1);
   EXPECT_DOUBLE_EQ(g[2], 1.0);
 }
 
-TEST(DropoutTest, InferenceIsIdentity) {
+TEST(DropoutTest, ZeroRateKeepsEverything) {
   Rng rng(4);
-  Dropout d(0.5);
-  Vec x{1.0, 2.0, 3.0};
-  EXPECT_EQ(d.Forward(x, false, &rng), x);
+  Vec x{1.0, 2.0, 3.0}, mask(3, 0.0);
+  Dropout(0.0, &rng, x.data(), mask.data(), 3);
+  EXPECT_EQ(x, (Vec{1.0, 2.0, 3.0}));
+  EXPECT_EQ(mask, (Vec{1.0, 1.0, 1.0}));
 }
 
 TEST(DropoutTest, TrainingZerosAndRescales) {
   Rng rng(5);
-  Dropout d(0.5);
-  Vec x(1000, 1.0);
-  Vec y = d.Forward(x, true, &rng);
+  Vec y(1000, 1.0), mask(1000);
+  Dropout(0.5, &rng, y.data(), mask.data(), y.size());
   int zeros = 0;
-  for (double v : y) {
-    if (v == 0.0) {
+  for (size_t i = 0; i < y.size(); ++i) {
+    EXPECT_EQ(y[i], mask[i]);
+    if (y[i] == 0.0) {
       ++zeros;
     } else {
-      EXPECT_NEAR(v, 2.0, 1e-12);  // inverted dropout scaling 1/(1-p)
+      EXPECT_NEAR(y[i], 2.0, 1e-12);  // inverted dropout scaling 1/(1-p)
     }
   }
   EXPECT_NEAR(zeros / 1000.0, 0.5, 0.08);
@@ -107,18 +122,18 @@ TEST(DropoutTest, TrainingZerosAndRescales) {
 TEST(EmbeddingTest, LookupAndGrow) {
   Rng rng(6);
   Embedding e(3, 4, &rng);
-  Vec v0 = e.Forward(0);
-  EXPECT_EQ(v0.size(), 4u);
+  const Vec v0(e.Row(0), e.Row(0) + 4);
   e.Append(2, &rng);
   EXPECT_EQ(e.count(), 5);
-  EXPECT_EQ(e.Forward(0), v0);  // existing rows unchanged
+  EXPECT_EQ(Vec(e.Row(0), e.Row(0) + 4), v0);  // existing rows unchanged
 }
 
 TEST(EmbeddingTest, BackwardAccumulatesIntoRow) {
   Rng rng(7);
   Embedding e(2, 3, &rng);
-  e.Backward(1, {1.0, 2.0, 3.0});
-  e.Backward(1, {1.0, 0.0, 0.0});
+  const Vec g1{1.0, 2.0, 3.0}, g2{1.0, 0.0, 0.0};
+  e.Backward(1, g1.data());
+  e.Backward(1, g2.data());
   Param* table = e.params()[0];
   EXPECT_DOUBLE_EQ(table->grad(1, 0), 2.0);
   EXPECT_DOUBLE_EQ(table->grad(1, 2), 3.0);
@@ -129,20 +144,18 @@ TEST(TreeConvTest, LeafEqualsSelfFilterOnly) {
   Rng rng(8);
   FlatPlan flat = SmallFlatPlan();
   TreeConvLayer layer(plan::kNodeFeatureDim, 4, &rng);
-  std::vector<Vec> out = layer.Forward(flat, flat.node_features);
-  ASSERT_EQ(out.size(), 3u);
+  Vec out(3 * 4), out2(3 * 4), tmp(4);
+  layer.Forward(flat, flat.features.data(), out.data(), tmp.data());
   // A leaf has no children: re-running with children zeroed out changes
   // nothing for the leaf but does change the root.
   FlatPlan no_children = flat;
   no_children.left_child.assign(3, -1);
   no_children.right_child.assign(3, -1);
-  std::vector<Vec> out2 = layer.Forward(no_children, flat.node_features);
-  for (size_t c = 0; c < out[1].size(); ++c) {
-    EXPECT_DOUBLE_EQ(out[1][c], out2[1][c]);
-  }
+  layer.Forward(no_children, flat.features.data(), out2.data(), tmp.data());
+  for (size_t c = 0; c < 4; ++c) EXPECT_DOUBLE_EQ(out[4 + c], out2[4 + c]);
   bool root_changed = false;
-  for (size_t c = 0; c < out[0].size(); ++c) {
-    if (std::fabs(out[0][c] - out2[0][c]) > 1e-12) root_changed = true;
+  for (size_t c = 0; c < 4; ++c) {
+    if (std::fabs(out[c] - out2[c]) > 1e-12) root_changed = true;
   }
   EXPECT_TRUE(root_changed);
 }
@@ -151,47 +164,49 @@ TEST(TreeConvTest, GradientMatchesFiniteDifference) {
   Rng rng(9);
   FlatPlan flat = SmallFlatPlan();
   TreeConvLayer layer(plan::kNodeFeatureDim, 3, &rng);
+  const size_t in = plan::kNodeFeatureDim;
+  const size_t n = flat.num_nodes();
 
   // Scalar loss: sum of all outputs.
-  auto loss = [&](const std::vector<Vec>& inputs) {
+  auto loss = [&](const Vec& inputs) {
+    Vec out(n * 3), tmp(3);
+    layer.Forward(flat, inputs.data(), out.data(), tmp.data());
     double s = 0.0;
-    for (const Vec& v : layer.Forward(flat, inputs)) {
-      for (double x : v) s += x;
-    }
+    for (double x : out) s += x;
     return s;
   };
 
-  std::vector<Vec> inputs = flat.node_features;
-  std::vector<Vec> grad_out(flat.num_nodes(), Vec(3, 1.0));
-  std::vector<Vec> grad_in = layer.Backward(flat, inputs, grad_out);
+  const Vec inputs = flat.features;
+  Vec grad_out(n * 3, 1.0), grad_in(n * in), tmp(in);
+  layer.Backward(flat, inputs.data(), grad_out.data(), grad_in.data(),
+                 tmp.data());
 
   const double eps = 1e-6;
-  for (int node = 0; node < flat.num_nodes(); ++node) {
-    for (size_t f = 0; f < inputs[node].size(); ++f) {
-      std::vector<Vec> ip = inputs, im = inputs;
-      ip[node][f] += eps;
-      im[node][f] -= eps;
-      const double numeric = (loss(ip) - loss(im)) / (2.0 * eps);
-      EXPECT_NEAR(grad_in[node][f], numeric, 1e-4)
-          << "node=" << node << " feature=" << f;
-    }
+  for (size_t k = 0; k < inputs.size(); ++k) {
+    Vec ip = inputs, im = inputs;
+    ip[k] += eps;
+    im[k] -= eps;
+    const double numeric = (loss(ip) - loss(im)) / (2.0 * eps);
+    EXPECT_NEAR(grad_in[k], numeric, 1e-4)
+        << "node=" << k / in << " feature=" << k % in;
   }
 }
 
 TEST(MaxPoolTest, ForwardPicksChannelMaxima) {
-  std::vector<Vec> in{{1.0, 9.0}, {5.0, 2.0}};
-  std::vector<int> argmax;
-  Vec out = DynamicMaxPool::Forward(in, &argmax);
+  const Vec in{1.0, 9.0, 5.0, 2.0};  // 2 nodes x 2 channels
+  Vec out(2);
+  std::vector<int> argmax(2);
+  MaxPoolForward(in.data(), 2, 2, out.data(), argmax.data());
   EXPECT_EQ(out, (Vec{5.0, 9.0}));
   EXPECT_EQ(argmax, (std::vector<int>{1, 0}));
 }
 
 TEST(MaxPoolTest, BackwardRoutesToWinners) {
-  std::vector<int> argmax{1, 0};
-  std::vector<Vec> g = DynamicMaxPool::Backward({0.5, 0.25}, argmax, 2);
-  EXPECT_DOUBLE_EQ(g[1][0], 0.5);
-  EXPECT_DOUBLE_EQ(g[0][1], 0.25);
-  EXPECT_DOUBLE_EQ(g[0][0], 0.0);
+  const std::vector<int> argmax{1, 0};
+  const Vec grad_out{0.5, 0.25};
+  Vec g(4, -1.0);
+  MaxPoolBackward(grad_out.data(), argmax.data(), 2, 2, g.data());
+  EXPECT_EQ(g, (Vec{0.0, 0.25, 0.5, 0.0}));
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {

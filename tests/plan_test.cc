@@ -86,8 +86,8 @@ TEST(FeaturizeTest, FlattenPreservesStructure) {
   EXPECT_EQ(flat.left_child[1], -1);
   EXPECT_EQ(flat.right_child[1], -1);
   // Root features match the join one-hot.
-  EXPECT_DOUBLE_EQ(flat.node_features[0][static_cast<int>(Operator::kHashJoin)],
-                   1.0);
+  ASSERT_EQ(flat.features.size(), 3u * kNodeFeatureDim);
+  EXPECT_DOUBLE_EQ(flat.features[static_cast<int>(Operator::kHashJoin)], 1.0);
 }
 
 TEST(FeaturizeTest, FlattenDeepTree) {

@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
-"""Serving-bench perf smoke: fail when a watched metric regresses.
+"""Bench perf smoke: fail when a watched metric regresses.
 
-Compares a freshly generated BENCH_serving.json against the checked-in
-baseline and exits non-zero when any watched metric is more than
---max-ratio times slower than the baseline value. Used by CI (the
-"Serving perf smoke" step) to catch order-of-magnitude decision-path
-regressions — an accidental per-serving allocation, a re-introduced
-per-hint scan, a lock on the snapshot read path — without being flaky
-about scheduler noise on shared runners: a 2x guard band is far above
-run-to-run jitter but far below the cost of any of those mistakes.
+Compares a freshly generated BENCH_*.json against the checked-in baseline
+and exits non-zero when any watched metric is more than --max-ratio times
+slower than the baseline value. Used by CI to catch order-of-magnitude
+regressions — an accidental per-serving or per-sample allocation, a
+re-introduced per-hint scan, a lock on the snapshot read path — without
+being flaky about scheduler noise on shared runners: a 2x guard band is
+far above run-to-run jitter but far below the cost of any of those
+mistakes.
 
-Watched metrics:
+Watched metrics, by default (the "Serving perf smoke" step):
   * choose_hint_scalar_ns @ 1 thread — the pure decision cost of
     ServingSnapshot::ChooseHint (the sub-100ns acceptance metric).
   * serving_ns_per_op @ 1 thread — end-to-end serving including backend
     execution and observation reporting.
+Each --watch NAME@THREADS replaces the defaults; the "nn perf smoke" step
+watches bench_micro's tcnn_train_epoch_128_samples@1 and tcnn_inference@1.
 
-Also checks two *within-run* ratios (current vs current, so scheduler
-noise largely cancels):
+When the baseline has their entries, also checks two *within-run* ratios
+(current vs current, so scheduler noise largely cancels):
   * router tax: the 1-shard sharded tier (sharded_serving_s1r1_ns_per_op)
     must stay under --max-router-tax times the bare 1-thread serving
     loop. At one shard the router degenerates to two array lookups and a
@@ -35,6 +37,7 @@ noise largely cancels):
 Usage:
   check_bench_regression.py BASELINE.json CURRENT.json [--max-ratio 2.0]
                             [--max-router-tax 1.3] [--max-fleet-tax 1.6]
+                            [--watch NAME@THREADS ...]
 """
 
 import argparse
@@ -46,6 +49,16 @@ WATCHED = [
     ("serving_ns_per_op", 1),
 ]
 
+ROUTER_TAX = [("serving_ns_per_op", 1), ("sharded_serving_s1r1_ns_per_op", 1)]
+FLEET_TAX = [
+    ("sharded_serving_s1r1_ns_per_op", 1),
+    ("sharded_serving_s4r4_ns_per_op", 4),
+]
+
+
+def has_entries(metrics, keys):
+    return all(key in metrics for key in keys)
+
 
 def load_metrics(path):
     """Returns {(name, threads): ns_per_op} for every benchmark entry."""
@@ -55,6 +68,15 @@ def load_metrics(path):
     for entry in doc.get("benchmarks", []):
         metrics[(entry["name"], entry["threads"])] = entry["ns_per_op"]
     return metrics
+
+
+def parse_watch(spec):
+    """Parses NAME@THREADS into (name, threads)."""
+    name, sep, threads = spec.rpartition("@")
+    if not sep or not name or not threads.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected NAME@THREADS, got {spec!r}")
+    return name, int(threads)
 
 
 def main():
@@ -82,13 +104,21 @@ def main():
         "this times the 1-shard/1-thread point within the current run "
         "(default: 1.6)",
     )
+    parser.add_argument(
+        "--watch",
+        type=parse_watch,
+        action="append",
+        metavar="NAME@THREADS",
+        help="watch this entry instead of the default serving metrics "
+        "(repeatable)",
+    )
     args = parser.parse_args()
 
     baseline = load_metrics(args.baseline)
     current = load_metrics(args.current)
 
     failures = []
-    for name, threads in WATCHED:
+    for name, threads in args.watch or WATCHED:
         key = (name, threads)
         if key not in baseline:
             print(f"SKIP  {name}@{threads}t: not in baseline")
@@ -110,51 +140,55 @@ def main():
             )
 
     # Within-run router-tax guard: 1-shard sharded tier vs bare serving.
-    bare = current.get(("serving_ns_per_op", 1))
-    routed = current.get(("sharded_serving_s1r1_ns_per_op", 1))
-    if bare is None or routed is None:
-        failures.append(
-            "router-tax inputs missing from current run "
-            f"(bare={bare}, sharded_s1r1={routed})"
-        )
-    else:
-        tax = routed / bare
-        verdict = "FAIL" if tax > args.max_router_tax else "ok"
-        print(
-            f"{verdict:>4}  router tax (sharded s1r1 / bare @1t): "
-            f"{bare:.1f} -> {routed:.1f} ns/op "
-            f"({tax:.2f}x, limit {args.max_router_tax:.2f}x)"
-        )
-        if tax > args.max_router_tax:
+    # Each tax guard runs when the baseline has its entries (the serving
+    # bench), and then fails on a current run that lacks them.
+    if has_entries(baseline, ROUTER_TAX):
+        bare = current.get(("serving_ns_per_op", 1))
+        routed = current.get(("sharded_serving_s1r1_ns_per_op", 1))
+        if bare is None or routed is None:
             failures.append(
-                f"1-shard router tax {tax:.2f}x exceeds "
-                f"{args.max_router_tax:.2f}x "
-                f"({bare:.1f} -> {routed:.1f} ns/op)"
+                "router-tax inputs missing from current run "
+                f"(bare={bare}, sharded_s1r1={routed})"
             )
+        else:
+            tax = routed / bare
+            verdict = "FAIL" if tax > args.max_router_tax else "ok"
+            print(
+                f"{verdict:>4}  router tax (sharded s1r1 / bare @1t): "
+                f"{bare:.1f} -> {routed:.1f} ns/op "
+                f"({tax:.2f}x, limit {args.max_router_tax:.2f}x)"
+            )
+            if tax > args.max_router_tax:
+                failures.append(
+                    f"1-shard router tax {tax:.2f}x exceeds "
+                    f"{args.max_router_tax:.2f}x "
+                    f"({bare:.1f} -> {routed:.1f} ns/op)"
+                )
 
     # Within-run fleet-tax guard: full-fan-out tier vs 1-shard tier. The
     # "threads" slot of sharded entries carries the shard count.
-    s1r1 = current.get(("sharded_serving_s1r1_ns_per_op", 1))
-    s4r4 = current.get(("sharded_serving_s4r4_ns_per_op", 4))
-    if s1r1 is None or s4r4 is None:
-        failures.append(
-            "fleet-tax inputs missing from current run "
-            f"(s1r1={s1r1}, s4r4={s4r4})"
-        )
-    else:
-        tax = s4r4 / s1r1
-        verdict = "FAIL" if tax > args.max_fleet_tax else "ok"
-        print(
-            f"{verdict:>4}  fleet tax (sharded s4r4 / s1r1): "
-            f"{s1r1:.1f} -> {s4r4:.1f} ns/op "
-            f"({tax:.2f}x, limit {args.max_fleet_tax:.2f}x)"
-        )
-        if tax > args.max_fleet_tax:
+    if has_entries(baseline, FLEET_TAX):
+        s1r1 = current.get(("sharded_serving_s1r1_ns_per_op", 1))
+        s4r4 = current.get(("sharded_serving_s4r4_ns_per_op", 4))
+        if s1r1 is None or s4r4 is None:
             failures.append(
-                f"4-shard fleet tax {tax:.2f}x exceeds "
-                f"{args.max_fleet_tax:.2f}x "
-                f"({s1r1:.1f} -> {s4r4:.1f} ns/op)"
+                "fleet-tax inputs missing from current run "
+                f"(s1r1={s1r1}, s4r4={s4r4})"
             )
+        else:
+            tax = s4r4 / s1r1
+            verdict = "FAIL" if tax > args.max_fleet_tax else "ok"
+            print(
+                f"{verdict:>4}  fleet tax (sharded s4r4 / s1r1): "
+                f"{s1r1:.1f} -> {s4r4:.1f} ns/op "
+                f"({tax:.2f}x, limit {args.max_fleet_tax:.2f}x)"
+            )
+            if tax > args.max_fleet_tax:
+                failures.append(
+                    f"4-shard fleet tax {tax:.2f}x exceeds "
+                    f"{args.max_fleet_tax:.2f}x "
+                    f"({s1r1:.1f} -> {s4r4:.1f} ns/op)"
+                )
 
     if failures:
         print("\nperf smoke FAILED:", file=sys.stderr)
