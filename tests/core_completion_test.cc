@@ -1,8 +1,13 @@
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -11,6 +16,8 @@
 #include "core/nuclear_norm.h"
 #include "core/svt.h"
 #include "linalg/svd.h"
+#include "simdb/database.h"
+#include "workloads/workloads.h"
 
 namespace limeqo::core {
 namespace {
@@ -413,6 +420,167 @@ INSTANTIATE_TEST_SUITE_P(
         ModeSpaceParam{CensoredMode::kNaiveObserved, FitSpace::kLogRatio},
         ModeSpaceParam{CensoredMode::kIgnore, FitSpace::kRaw},
         ModeSpaceParam{CensoredMode::kIgnore, FitSpace::kLogRatio}));
+
+// FNV-1a over exact double bit patterns, so the hash pins values bitwise.
+void MixBits(uint64_t* h, double v) {
+  unsigned char bytes[sizeof(v)];
+  std::memcpy(bytes, &v, sizeof(v));
+  for (unsigned char b : bytes) {
+    *h ^= b;
+    *h *= 0x100000001B3ULL;
+  }
+}
+
+void MixMatrix(uint64_t* h, const linalg::Matrix& m) {
+  MixBits(h, static_cast<double>(m.rows()));
+  MixBits(h, static_cast<double>(m.cols()));
+  for (size_t c = 0; c < m.size(); ++c) MixBits(h, m.data()[c]);
+}
+
+/// Mixes one finished completion: its output, both factor matrices and the
+/// sweep count.
+void MixCompletion(uint64_t* h, const AlsCompleter& als,
+                   const linalg::Matrix& out) {
+  MixMatrix(h, out);
+  MixMatrix(h, als.query_factors());
+  MixMatrix(h, als.hint_factors());
+  MixBits(h, static_cast<double>(als.last_iterations()));
+}
+
+/// The exploration start state on a real workload: every default plan
+/// observed, plus a seeded ~4% of complete and ~1% of timed-out cells (each
+/// censored at half its true latency, a valid lower bound).
+WorkloadMatrix SeededWorkloadMatrix(const simdb::SimulatedDatabase& db,
+                                    uint64_t seed) {
+  WorkloadMatrix w(db.num_queries(), db.num_hints());
+  Rng rng(seed);
+  for (int i = 0; i < db.num_queries(); ++i) {
+    w.Observe(i, 0, db.TrueLatency(i, 0));
+    for (int j = 1; j < db.num_hints(); ++j) {
+      const double u = rng.Uniform(0.0, 1.0);
+      if (u < 0.04) {
+        w.Observe(i, j, db.TrueLatency(i, j));
+      } else if (u < 0.05) {
+        w.ObserveCensored(i, j, 0.5 * db.TrueLatency(i, j));
+      }
+    }
+  }
+  return w;
+}
+
+// Pins ALS completion bitwise on the paper's JOB (113 x 49) and CEB
+// (3133 x 49) shapes: the exact bits of Complete's output, of both factor
+// matrices and of last_iterations(). Each rank row mixes the censored fit
+// in both fit spaces; the r5 row adds the other two censored modes, and the
+// warm row a cold CompleteFrom followed by a warm refit (new observations
+// and new query rows, convergence_tol = 1e-3) in both spaces. Any change to
+// an accumulation order, a validation draw or the fit-problem construction
+// moves a hash. Regenerate with LIMEQO_PRINT_ALS_HASH=1, but only when a
+// change *intends* to alter completion numerics.
+struct PinnedAls {
+  workloads::WorkloadId workload;
+  const char* config;
+  uint64_t expected_hash;
+};
+constexpr PinnedAls kPinnedAls[] = {
+    {workloads::WorkloadId::kJob, "r1", 0x5E8DE2150994823FULL},
+    {workloads::WorkloadId::kJob, "r2", 0x3F6B626A447E814BULL},
+    {workloads::WorkloadId::kJob, "r3", 0xD27005BA04A5C828ULL},
+    {workloads::WorkloadId::kJob, "r5", 0x1B42CD0D01DA2A75ULL},
+    {workloads::WorkloadId::kJob, "r7", 0x494EAF0DB705C409ULL},
+    {workloads::WorkloadId::kJob, "r10", 0x456D9F427F4C2F5DULL},
+    {workloads::WorkloadId::kJob, "r17", 0x2348447849D64809ULL},
+    {workloads::WorkloadId::kJob, "warm", 0x6EDBEDB68F871C83ULL},
+    {workloads::WorkloadId::kCeb, "r1", 0x3F42C55CC93E0281ULL},
+    {workloads::WorkloadId::kCeb, "r2", 0x1A489751840E5732ULL},
+    {workloads::WorkloadId::kCeb, "r3", 0x7B52FE795268BE64ULL},
+    {workloads::WorkloadId::kCeb, "r5", 0x5DD7144590C1BFCCULL},
+    {workloads::WorkloadId::kCeb, "r7", 0x20AB277517AD729AULL},
+    {workloads::WorkloadId::kCeb, "r10", 0x4DB6663B5AA2A1E7ULL},
+    {workloads::WorkloadId::kCeb, "r17", 0x460CC3303E6B3706ULL},
+    {workloads::WorkloadId::kCeb, "warm", 0x05F9E38D66990330ULL},
+};
+
+uint64_t PinnedCompletionHash(const WorkloadMatrix& w,
+                              const std::string& config,
+                              const simdb::SimulatedDatabase& db) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  if (config == "warm") {
+    for (FitSpace space : {FitSpace::kLogRatio, FitSpace::kRaw}) {
+      AlsOptions opt;
+      opt.fit_space = space;
+      opt.convergence_tol = 1e-3;
+      AlsCompleter als(opt);
+      CompletionFactors factors;
+      StatusOr<linalg::Matrix> cold = als.CompleteFrom(w, &factors);
+      EXPECT_TRUE(cold.ok());
+      if (!cold.ok()) return 0;
+      MixCompletion(&h, als, *cold);
+      // The refit sees a few more observations and two new query rows
+      // (default only), which take the fresh-row initialization.
+      WorkloadMatrix next = w;
+      Rng rng(17);
+      for (int s = 0; s < 40; ++s) {
+        const int i = static_cast<int>(rng.UniformInt(0, w.num_queries() - 1));
+        const int j = static_cast<int>(rng.UniformInt(1, w.num_hints() - 1));
+        next.Observe(i, j, db.TrueLatency(i, j));
+      }
+      const int fresh = next.AppendQueries(2);
+      next.Observe(fresh, 0, db.TrueLatency(0, 0));
+      next.Observe(fresh + 1, 0, db.TrueLatency(1, 0));
+      StatusOr<linalg::Matrix> warm = als.CompleteFrom(next, &factors);
+      EXPECT_TRUE(warm.ok());
+      if (!warm.ok()) return 0;
+      MixCompletion(&h, als, *warm);
+    }
+    return h;
+  }
+  const int rank = std::atoi(config.c_str() + 1);
+  std::vector<CensoredMode> modes = {CensoredMode::kCensored};
+  if (rank == 5) {
+    modes.push_back(CensoredMode::kNaiveObserved);
+    modes.push_back(CensoredMode::kIgnore);
+  }
+  for (CensoredMode mode : modes) {
+    for (FitSpace space : {FitSpace::kLogRatio, FitSpace::kRaw}) {
+      AlsOptions opt;
+      opt.rank = rank;
+      opt.fit_space = space;
+      opt.censored_mode = mode;
+      AlsCompleter als(opt);
+      StatusOr<linalg::Matrix> out = als.Complete(w);
+      EXPECT_TRUE(out.ok());
+      if (!out.ok()) return 0;
+      MixCompletion(&h, als, *out);
+    }
+  }
+  return h;
+}
+
+TEST(AlsTest, CompletionIsBitwisePinned) {
+  const bool print_mode = std::getenv("LIMEQO_PRINT_ALS_HASH") != nullptr;
+  for (workloads::WorkloadId id :
+       {workloads::WorkloadId::kJob, workloads::WorkloadId::kCeb}) {
+    StatusOr<simdb::SimulatedDatabase> db =
+        workloads::MakeWorkload(id, 1.0, 42);
+    ASSERT_TRUE(db.ok());
+    const WorkloadMatrix w = SeededWorkloadMatrix(*db, 5);
+    for (const PinnedAls& pinned : kPinnedAls) {
+      if (pinned.workload != id) continue;
+      const uint64_t h = PinnedCompletionHash(w, pinned.config, *db);
+      if (print_mode) {
+        std::printf("    {workloads::WorkloadId::%s, \"%s\", 0x%016llXULL},\n",
+                    id == workloads::WorkloadId::kJob ? "kJob" : "kCeb",
+                    pinned.config, static_cast<unsigned long long>(h));
+        continue;
+      }
+      EXPECT_EQ(h, pinned.expected_hash)
+          << "ALS completion changed bitwise ("
+          << (id == workloads::WorkloadId::kJob ? "JOB" : "CEB") << ", "
+          << pinned.config << ")";
+    }
+  }
+}
 
 /// Low-rank diagnostics: a planted workload matrix has concentrated
 /// singular values, a random one does not (Fig. 14's premise).
