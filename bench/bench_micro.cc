@@ -8,7 +8,8 @@
 // Results are written as machine-readable JSON (default BENCH_micro.json,
 // override with --json=<path>) so the perf trajectory is tracked commit to
 // commit. The rank-10 ALS completion of a 1000x49 matrix at 10% fill is the
-// acceptance workload for the threaded linalg core.
+// acceptance workload for the threaded linalg core; the rank-5 3133x49
+// completion is the one offline exploration of CEB runs every step.
 
 #include <algorithm>
 #include <cmath>
@@ -31,15 +32,23 @@
 namespace limeqo::bench {
 namespace {
 
-/// A synthetic 1000x49 workload-shaped matrix: defaults observed plus a 10%
-/// random fill, the regime ALS sees during exploration.
-core::WorkloadMatrix MakeSyntheticMatrix(int n, int k, double fill) {
+/// A synthetic workload-shaped matrix: defaults observed plus a random
+/// `fill` of probed cells, of which a `censored_share` timed out (censored
+/// at the probe's latency).
+core::WorkloadMatrix MakeSyntheticMatrix(int n, int k, double fill,
+                                         double censored_share = 0.0) {
   core::WorkloadMatrix w(n, k);
   Rng rng(5);
   for (int i = 0; i < n; ++i) {
     w.Observe(i, 0, rng.Uniform(0.1, 10.0));
     for (int j = 1; j < k; ++j) {
-      if (rng.Bernoulli(fill)) w.Observe(i, j, rng.Uniform(0.01, 10.0));
+      if (!rng.Bernoulli(fill)) continue;
+      const double latency = rng.Uniform(0.01, 10.0);
+      if (censored_share > 0.0 && rng.Bernoulli(censored_share)) {
+        w.ObserveCensored(i, j, latency);
+      } else {
+        w.Observe(i, j, latency);
+      }
     }
   }
   return w;
@@ -72,6 +81,18 @@ void LinalgBenches(BenchReporter* reporter) {
 }
 
 void AlsBenches(BenchReporter* reporter) {
+  // The offline-ceb completion: rank 5, 50 fixed sweeps over CEB's
+  // 3133x49 shape at its mid-exploration fill (defaults plus ~2% probes, a
+  // quarter of them timed out), one linalg thread as in perfbench.
+  {
+    SetNumThreads(1);
+    core::AlsCompleter als;
+    const core::WorkloadMatrix ceb = MakeSyntheticMatrix(3133, 49, 0.02, 0.25);
+    long iters = 0;
+    const double ns =
+        TimeNsPerOp([&] { (void)als.Complete(ceb); }, 1.0, &iters);
+    reporter->Report("als_complete_rank5_3133x49", ns, iters);
+  }
   core::WorkloadMatrix w = MakeSyntheticMatrix(1000, 49, 0.1);
   core::AlsOptions options;
   options.rank = 10;

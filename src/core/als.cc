@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "linalg/solve.h"
+#include "linalg/als_sweep.h"
 
 namespace limeqo::core {
 namespace {
@@ -17,42 +18,62 @@ namespace {
 constexpr double kEpsLatency = 1e-6;
 
 /// The effective fit problem after censored-mode handling and (optionally)
-/// the log-ratio transform: `values` are fit targets for cells with
-/// mask == 1, `thresholds` are censoring lower bounds for cells with
-/// censored == 1, in the same space as `values`.
+/// the log-ratio transform, as row-sorted sparse cell lists holding only
+/// the fit-space values: raw values, timeouts and cell states are read from
+/// the WorkloadMatrix itself. Every sum below runs over these lists in
+/// row-major order (ascending row, then column), which
+/// AlsTest.CompletionIsBitwisePinned pins.
 struct FitProblem {
-  linalg::Matrix values;
-  linalg::Matrix mask;
-  linalg::Matrix thresholds;
-  linalg::Matrix censored;  // 1 where a censoring threshold applies
+  /// Cells the fit treats as observed: the complete cells, plus the
+  /// censored cells at their timeout under kNaiveObserved. `value` holds
+  /// the fit target (in log-ratio space after ToLogRatioSpace).
+  linalg::RowCells observed;
+  /// kCensored only: the censoring lower bounds, in the fit space.
+  linalg::RowCells censored;
+  size_t num_complete = 0;
   /// kLogRatio bias terms; empty in kRaw.
   std::vector<double> row_bias;
   std::vector<double> col_bias;
 };
 
-/// Applies the censored mode: kNaiveObserved moves censored cells into the
-/// mask; kIgnore leaves them unobserved with no clamp.
+/// Builds the problem in one pass over the cell states and applies the
+/// censored mode: kNaiveObserved moves censored cells into the observed
+/// list; kIgnore leaves them unobserved with no clamp.
 FitProblem BuildProblem(const WorkloadMatrix& w, CensoredMode mode) {
   FitProblem p;
-  p.values = w.values();
-  p.mask = w.mask();
-  p.thresholds = w.timeouts();
-  p.censored = linalg::Matrix(w.num_queries(), w.num_hints());
-  for (int i = 0; i < w.num_queries(); ++i) {
-    for (int j = 0; j < w.num_hints(); ++j) {
-      if (w.state(i, j) != CellState::kCensored) continue;
-      switch (mode) {
-        case CensoredMode::kCensored:
-          p.censored(i, j) = 1.0;
-          break;
-        case CensoredMode::kNaiveObserved:
-          p.mask(i, j) = 1.0;  // pretend the timeout was the true latency
-          p.values(i, j) = p.thresholds(i, j);
-          break;
-        case CensoredMode::kIgnore:
-          break;  // fully unobserved
+  const size_t n = static_cast<size_t>(w.num_queries());
+  const size_t k = static_cast<size_t>(w.num_hints());
+  // Exact capacities: a serving matrix fills up, and the lists must not
+  // outgrow the dense matrices they stand in for.
+  p.num_complete = static_cast<size_t>(w.NumComplete());
+  const size_t num_censored = static_cast<size_t>(w.NumCensored());
+  p.observed.Reserve(
+      n, p.num_complete +
+             (mode == CensoredMode::kNaiveObserved ? num_censored : 0));
+  p.censored.Reserve(n, mode == CensoredMode::kCensored ? num_censored : 0);
+  const double* values = w.values().data();
+  const double* timeouts = w.timeouts().data();
+  for (size_t i = 0; i < n; ++i) {
+    const CellState* states = w.row_states(static_cast<int>(i));
+    for (size_t j = 0; j < k; ++j) {
+      if (states[j] == CellState::kComplete) {
+        p.observed.Add(j, values[i * k + j]);
+      } else if (states[j] == CellState::kCensored) {
+        switch (mode) {
+          case CensoredMode::kCensored:
+            p.censored.Add(j, timeouts[i * k + j]);
+            break;
+          case CensoredMode::kNaiveObserved:
+            // Pretend the timeout was the true latency.
+            p.observed.Add(j, timeouts[i * k + j]);
+            break;
+          case CensoredMode::kIgnore:
+            break;  // fully unobserved
+        }
       }
     }
+    p.observed.EndRow();
+    p.censored.EndRow();
   }
   return p;
 }
@@ -62,36 +83,33 @@ double SafeLog(double v) { return std::log(std::max(v, kEpsLatency)); }
 /// Rewrites `p` in place into log-ratio space: x = log(v) - b_i - c_j with
 /// b_i the row's observed default log latency (fallback: row mean, then
 /// global mean) and c_j a shrunk per-hint mean residual.
-void ToLogRatioSpace(FitProblem* p, double bias_shrinkage) {
-  const size_t n = p->values.rows();
-  const size_t k = p->values.cols();
-  p->row_bias.assign(n, 0.0);
+void ToLogRatioSpace(FitProblem* p, size_t k, double bias_shrinkage) {
+  linalg::RowCells& obs = p->observed;
+  linalg::RowCells& cens = p->censored;
+  const size_t n = obs.row_start.size() - 1;
+  for (double& v : obs.value) v = SafeLog(v);
 
   double global_sum = 0.0;
   int global_count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < k; ++j) {
-      if (p->mask(i, j) > 0.0) {
-        global_sum += SafeLog(p->values(i, j));
-        ++global_count;
-      }
-    }
+  for (double v : obs.value) {
+    global_sum += v;
+    ++global_count;
   }
   const double global_mean =
       global_count > 0 ? global_sum / global_count : 0.0;
 
+  p->row_bias.assign(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
-    if (p->mask(i, 0) > 0.0) {
-      p->row_bias[i] = SafeLog(p->values(i, 0));
+    const size_t begin = obs.row_start[i], end = obs.row_start[i + 1];
+    if (begin < end && obs.col[begin] == 0) {
+      p->row_bias[i] = obs.value[begin];
       continue;
     }
     double sum = 0.0;
     int count = 0;
-    for (size_t j = 0; j < k; ++j) {
-      if (p->mask(i, j) > 0.0) {
-        sum += SafeLog(p->values(i, j));
-        ++count;
-      }
+    for (size_t c = begin; c < end; ++c) {
+      sum += obs.value[c];
+      ++count;
     }
     p->row_bias[i] = count > 0 ? sum / count : global_mean;
   }
@@ -101,40 +119,42 @@ void ToLogRatioSpace(FitProblem* p, double bias_shrinkage) {
   // latency): this is conservative Tobit-style evidence that the hint is
   // *not fast* on that row, and it is exactly the information the initial
   // all-defaults matrix lacks — without it, a hint that keeps timing out
-  // retains a neutral bias and keeps attracting probes.
-  p->col_bias.assign(k, 0.0);
+  // retains a neutral bias and keeps attracting probes. A row's cells are
+  // distinct columns, so each column still sums in ascending row order.
   std::vector<double> col_sum(k, 0.0);
   std::vector<int> col_count(k, 0);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < k; ++j) {
-      if (p->mask(i, j) > 0.0) {
-        col_sum[j] += SafeLog(p->values(i, j)) - p->row_bias[i];
-        ++col_count[j];
-      } else if (p->censored(i, j) > 0.0) {
-        col_sum[j] += SafeLog(p->thresholds(i, j)) - p->row_bias[i];
-        ++col_count[j];
-      }
+    const double row_bias = p->row_bias[i];
+    for (size_t c = obs.row_start[i]; c < obs.row_start[i + 1]; ++c) {
+      obs.value[c] -= row_bias;
+      col_sum[obs.col[c]] += obs.value[c];
+      ++col_count[obs.col[c]];
+    }
+    for (size_t c = cens.row_start[i]; c < cens.row_start[i + 1]; ++c) {
+      cens.value[c] = SafeLog(cens.value[c]) - row_bias;
+      col_sum[cens.col[c]] += cens.value[c];
+      ++col_count[cens.col[c]];
     }
   }
+  p->col_bias.assign(k, 0.0);
   for (size_t j = 0; j < k; ++j) {
     p->col_bias[j] = col_sum[j] / (col_count[j] + bias_shrinkage);
   }
 
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < k; ++j) {
-      if (p->mask(i, j) > 0.0) {
-        p->values(i, j) =
-            SafeLog(p->values(i, j)) - p->row_bias[i] - p->col_bias[j];
-      } else {
-        p->values(i, j) = 0.0;
-      }
-      if (p->censored(i, j) > 0.0) {
-        p->thresholds(i, j) =
-            SafeLog(p->thresholds(i, j)) - p->row_bias[i] - p->col_bias[j];
-      }
-    }
+  for (size_t c = 0; c < obs.size(); ++c) {
+    obs.value[c] -= p->col_bias[obs.col[c]];
+  }
+  for (size_t c = 0; c < cens.size(); ++c) {
+    cens.value[c] -= p->col_bias[cens.col[c]];
   }
 }
+
+/// A held-out complete cell and its fit target.
+struct ValidationCell {
+  size_t i;
+  size_t j;
+  double value;
+};
 
 }  // namespace
 
@@ -160,20 +180,20 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteFrom(
 
 StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
     const WorkloadMatrix& w, const CompletionFactors* warm) {
-  if (w.NumComplete() == 0) {
-    return Status::FailedPrecondition(
-        "ALS needs at least one complete observation");
-  }
   const size_t n = static_cast<size_t>(w.num_queries());
   const size_t k = static_cast<size_t>(w.num_hints());
   const size_t r = static_cast<size_t>(options_.rank);
   const bool log_space = options_.fit_space == FitSpace::kLogRatio;
 
   FitProblem in = BuildProblem(w, options_.censored_mode);
-  if (log_space) ToLogRatioSpace(&in, options_.bias_shrinkage);
+  if (in.num_complete == 0) {
+    return Status::FailedPrecondition(
+        "ALS needs at least one complete observation");
+  }
+  if (log_space) ToLogRatioSpace(&in, k, options_.bias_shrinkage);
 
   // Carve a validation split out of the complete observations. Validation
-  // cells are removed from the fit mask but still pass through as observed
+  // cells are left out of the fit list but still pass through as observed
   // values in the final output.
   //
   // Only cells from rows with at least two *distinct* observed values
@@ -185,37 +205,48 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   // distinct observations. (Exact equality is intentional: equivalence
   // classes share bit-identical values by construction.)
   Rng val_rng(options_.seed ^ 0x9e3779b97f4a7c15ull);
-  std::vector<std::pair<size_t, size_t>> validation;
-  if (options_.early_stopping && w.NumComplete() >= 20) {
+  std::vector<ValidationCell> validation;
+  const double* values = w.values().data();
+  if (options_.early_stopping && in.num_complete >= 20) {
+    // Held-out cells move to `validation`; the rest of each row compacts
+    // in place, so `in.observed` becomes the fit list.
+    linalg::RowCells& obs = in.observed;
+    size_t kept = 0;
     for (size_t i = 0; i < n; ++i) {
+      const size_t begin = obs.row_start[i];
+      const size_t end = obs.row_start[i + 1];
+      const CellState* states = w.row_states(static_cast<int>(i));
       double first_value = 0.0;
       bool have_first = false;
       bool diverse = false;
-      for (size_t j = 0; j < k && !diverse; ++j) {
-        if (in.mask(i, j) <= 0.0 ||
-            w.state(static_cast<int>(i), static_cast<int>(j)) !=
-                CellState::kComplete) {
-          continue;
-        }
+      for (size_t c = begin; c < end && !diverse; ++c) {
+        if (states[obs.col[c]] != CellState::kComplete) continue;
+        const double v = values[i * k + obs.col[c]];
         if (!have_first) {
-          first_value = w.values()(i, j);
+          first_value = v;
           have_first = true;
-        } else if (w.values()(i, j) != first_value) {
+        } else if (v != first_value) {
           diverse = true;
         }
       }
-      if (!diverse) continue;
-      for (size_t j = 0; j < k; ++j) {
-        if (in.mask(i, j) > 0.0 &&
-            w.state(static_cast<int>(i), static_cast<int>(j)) ==
-                CellState::kComplete &&
+      obs.row_start[i] = kept;
+      for (size_t c = begin; c < end; ++c) {
+        if (diverse && states[obs.col[c]] == CellState::kComplete &&
             val_rng.Bernoulli(options_.validation_fraction)) {
-          validation.emplace_back(i, j);
-          in.mask(i, j) = 0.0;
+          validation.push_back({i, obs.col[c], obs.value[c]});
+        } else {
+          obs.col[kept] = obs.col[c];
+          obs.value[kept] = obs.value[c];
+          ++kept;
         }
       }
     }
+    obs.row_start[n] = kept;
+    obs.col.resize(kept);
+    obs.value.resize(kept);
   }
+  // The cells the sweeps fit: every observed cell but the held-out ones.
+  const linalg::RowCells& fit = in.observed;
 
   // Initialize the factors (Algorithm 2 line 1). A warm start (the
   // CompleteFrom contract) copies the previous fit's factors when their
@@ -235,13 +266,24 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   Rng rng(options_.seed);
   q_ = linalg::Matrix(n, r);
   h_ = linalg::Matrix(k, r);
+  double* qd = q_.data();
+  double* hd = h_.data();
+  // Mean fit target of row i, 1.0 for a row with none (raw-space fresh
+  // rows of a warm start).
+  auto fit_row_mean = [&](size_t i) {
+    double row_mean = 0.0;
+    int row_count = 0;
+    for (size_t c = fit.row_start[i]; c < fit.row_start[i + 1]; ++c) {
+      row_mean += fit.value[c];
+      ++row_count;
+    }
+    return row_count > 0 ? row_mean / row_count : 1.0;
+  };
   if (warm_compatible) {
-    for (size_t i = 0; i < warm_rows; ++i) {
-      for (size_t c = 0; c < r; ++c) q_(i, c) = warm->query_factors(i, c);
-    }
-    for (size_t j = 0; j < k; ++j) {
-      for (size_t c = 0; c < r; ++c) h_(j, c) = warm->hint_factors(j, c);
-    }
+    std::copy(warm->query_factors.data(),
+              warm->query_factors.data() + warm_rows * r, qd);
+    std::copy(warm->hint_factors.data(), warm->hint_factors.data() + k * r,
+              hd);
     // Fresh rows (queries that arrived after the warm factors were fitted)
     // get the same per-space cold initialization as below: small signed
     // factors in log-ratio space, row-mean-scaled positive factors in raw
@@ -251,43 +293,28 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
     // phantom improvement ratios for every newly arrived query.
     for (size_t i = warm_rows; i < n; ++i) {
       if (log_space) {
-        for (size_t c = 0; c < r; ++c) q_(i, c) = rng.Uniform(-0.1, 0.1);
+        for (size_t c = 0; c < r; ++c) qd[i * r + c] = rng.Uniform(-0.1, 0.1);
         continue;
       }
-      double row_mean = 0.0;
-      int row_count = 0;
-      for (size_t j = 0; j < k; ++j) {
-        if (in.mask(i, j) > 0.0) {
-          row_mean += in.values(i, j);
-          ++row_count;
-        }
-      }
-      row_mean = row_count > 0 ? row_mean / row_count : 1.0;
-      const double scale = std::max(row_mean, 1e-6) / r;
+      const double scale = std::max(fit_row_mean(i), 1e-6) / r;
       for (size_t c = 0; c < r; ++c) {
-        q_(i, c) = scale * rng.Uniform(0.6, 1.4);
+        qd[i * r + c] = scale * rng.Uniform(0.6, 1.4);
       }
     }
   } else if (log_space) {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t c = 0; c < r; ++c) q_(i, c) = rng.Uniform(-0.1, 0.1);
-    }
-    for (size_t j = 0; j < k; ++j) {
-      for (size_t c = 0; c < r; ++c) h_(j, c) = rng.Uniform(-0.1, 0.1);
-    }
+    for (size_t c = 0; c < n * r; ++c) qd[c] = rng.Uniform(-0.1, 0.1);
+    for (size_t c = 0; c < k * r; ++c) hd[c] = rng.Uniform(-0.1, 0.1);
   } else {
     double global_mean = 0.0;
     int count_obs = 0;
     std::vector<double> row_mean(n, 0.0);
     std::vector<int> row_count(n, 0);
     for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < k; ++j) {
-        if (in.mask(i, j) > 0.0) {
-          row_mean[i] += in.values(i, j);
-          ++row_count[i];
-          global_mean += in.values(i, j);
-          ++count_obs;
-        }
+      for (size_t c = fit.row_start[i]; c < fit.row_start[i + 1]; ++c) {
+        row_mean[i] += fit.value[c];
+        ++row_count[i];
+        global_mean += fit.value[c];
+        ++count_obs;
       }
     }
     global_mean = std::max(global_mean / std::max(count_obs, 1), 1e-6);
@@ -301,75 +328,40 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
       // initial dot product q_i . h_j land near row_mean[i].
       const double scale = std::max(row_mean[i], 1e-6) / r;
       for (size_t c = 0; c < r; ++c) {
-        q_(i, c) = scale * rng.Uniform(spread_lo, spread_hi);
+        qd[i * r + c] = scale * rng.Uniform(spread_lo, spread_hi);
       }
     }
-    for (size_t j = 0; j < k; ++j) {
-      for (size_t c = 0; c < r; ++c) {
-        h_(j, c) = rng.Uniform(spread_lo, spread_hi);
-      }
+    for (size_t c = 0; c < k * r; ++c) {
+      hd[c] = rng.Uniform(spread_lo, spread_hi);
     }
   }
 
   // Fills W-hat = M .* W + (1 - M) .* (Q H^T) and applies the censored
-  // clamp (Algorithm 2 lines 3-5 / 8-10). `w_hat` is a persistent buffer
-  // and the observed/censored cells are precomputed index lists, so one
-  // fill is the factor product plus a sparse scatter — no dense mask scan
-  // and no allocations after the first call. Exploration-regime matrices
-  // are a few percent observed, so the scatter touches ~1% of the cells
-  // the old dense pass read. The lists are disjoint by construction
-  // (BuildProblem only marks `censored` cells whose mask stays 0), which
-  // keeps the scatter order-independent, and they are rebuilt after the
-  // validation split is carved out of the mask below.
-  const bool clamp = options_.censored_mode == CensoredMode::kCensored;
-  // The fill, factor-update, and Gram/Cholesky buffers come from the
-  // installed arena (the shared train plane pools one per executor worker
-  // across all shards) or the private fallback. Every buffer is fully
-  // overwritten before it is read, so the two paths are bitwise identical.
+  // clamp (Algorithm 2 lines 3-5 / 8-10): the factor product, then a
+  // scatter of the row-sorted observed and censored lists (disjoint by
+  // construction) — no dense mask scan. The fill, factor-update and sweep
+  // buffers come from the installed arena (the shared train plane pools
+  // one per executor worker across all shards) or the private fallback.
+  // Every buffer is fully overwritten before it is read, so the two paths
+  // are bitwise identical.
   CompletionArena& arena = arena_ != nullptr ? *arena_ : fallback_arena_;
   linalg::Matrix& w_hat = arena.w_hat;
-  std::vector<std::pair<size_t, double>> observed_cells;   // flat index, value
-  std::vector<std::pair<size_t, double>> censored_cells;   // flat index, bound
-  auto rebuild_fill_lists = [&]() {
-    observed_cells.clear();
-    censored_cells.clear();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < k; ++j) {
-        const size_t c = i * k + j;
-        if (in.mask(i, j) > 0.0) {
-          observed_cells.emplace_back(c, in.values(i, j));
-        } else if (clamp && in.censored(i, j) > 0.0) {
-          censored_cells.emplace_back(c, in.thresholds(i, j));
-        }
-      }
-    }
-  };
-  auto fill = [&]() {
-    linalg::MultiplyTransposedInto(q_, h_, &w_hat);
-    double* w_hat_d = w_hat.data();
-    for (const auto& [c, v] : observed_cells) w_hat_d[c] = v;
-    for (const auto& [c, bound] : censored_cells) {
-      if (w_hat_d[c] < bound) w_hat_d[c] = bound;  // censored technique
-    }
-  };
-
-  rebuild_fill_lists();
+  linalg::SweepWorkspace& ws = arena.sweep;
+  linalg::Matrix& q_next = arena.q_next;
+  linalg::Matrix& h_next = arena.h_next;
 
   const bool non_negative = options_.non_negative && !log_space;
   linalg::Matrix best_q = q_;
   linalg::Matrix best_h = h_;
-  // Factor updates write into persistent buffers that swap with q_ / h_;
-  // the Gram/Cholesky workspaces are shared across all iterations.
-  linalg::RidgeWorkspace& ws = arena.ridge;
-  linalg::Matrix& q_next = arena.q_next;
-  linalg::Matrix& h_next = arena.h_next;
   double best_val_rmse = std::numeric_limits<double>::infinity();
   auto validation_rmse = [&]() {
     double se = 0.0;
-    for (const auto& [i, j] : validation) {
+    for (const ValidationCell& cell : validation) {
+      const double* qi = q_.data() + cell.i * r;
+      const double* hj = h_.data() + cell.j * r;
       double pred = 0.0;
-      for (size_t c = 0; c < r; ++c) pred += q_(i, c) * h_(j, c);
-      const double d = pred - in.values(i, j);
+      for (size_t c = 0; c < r; ++c) pred += qi[c] * hj[c];
+      const double d = pred - cell.value;
       se += d * d;
     }
     return std::sqrt(se / validation.size());
@@ -389,18 +381,18 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   for (int iter = 0; iter < options_.iterations; ++iter) {
     ++last_iterations_;
     // Q update (Algorithm 2 lines 3-7): Q <- W_hat H (H^T H + lambda I)^-1.
-    fill();
-    Status q_st =
-        linalg::RidgeSolveInto(w_hat, h_, options_.lambda, &ws, &q_next);
+    linalg::SweepFill(q_, h_, &fit, &in.censored, &ws, &w_hat);
+    linalg::SweepQRhs(w_hat, h_, &ws, &q_next);
+    Status q_st = linalg::SweepRidgeSolve(h_, options_.lambda, &ws, &q_next);
     if (!q_st.ok()) return q_st;
     std::swap(q_, q_next);
     if (non_negative) q_.ClampMin(0.0);
 
     // H update (Algorithm 2 lines 8-12): H <- W_hat^T Q (Q^T Q + l I)^-1,
     // with W_hat^T never materialized.
-    fill();
-    Status h_st = linalg::RidgeSolveTransposedInto(w_hat, q_, options_.lambda,
-                                                   &ws, &h_next);
+    linalg::SweepFill(q_, h_, &fit, &in.censored, &ws, &w_hat);
+    linalg::SweepHRhs(w_hat, q_, &h_next);
+    Status h_st = linalg::SweepRidgeSolve(q_, options_.lambda, &ws, &h_next);
     if (!h_st.ok()) return h_st;
     std::swap(h_, h_next);
     if (non_negative) h_.ClampMin(0.0);
@@ -447,59 +439,81 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   if (!validation.empty()) {
     q_ = std::move(best_q);
     h_ = std::move(best_h);
-    // Validation cells are observed values; restore them for the output.
-    for (const auto& [i, j] : validation) in.mask(i, j) = 1.0;
-    rebuild_fill_lists();
   }
 
-  // Final fill (Algorithm 2 line 13): observed entries pass through, the
-  // rest are the factored predictions, mapped back to seconds in log-ratio
-  // space. Predicted log ratios are clamped to the *observed* ratio
-  // envelope (with a small margin): a sparse low-rank fit occasionally
-  // extrapolates a cell to a speedup far beyond anything ever measured,
-  // and such phantom predictions would dominate Algorithm 1's
-  // improvement-ratio ranking and send exploration chasing artifacts.
+  // Final fill (Algorithm 2 line 13): observed entries — held-out ones
+  // included — pass through, the rest are the factored predictions, mapped
+  // back to seconds in log-ratio space. Predicted log ratios are clamped to
+  // the *observed* ratio envelope (with a small margin): a sparse low-rank
+  // fit occasionally extrapolates a cell to a speedup far beyond anything
+  // ever measured, and such phantom predictions would dominate Algorithm
+  // 1's improvement-ratio ranking and send exploration chasing artifacts.
   double lo_ratio = 0.0, hi_ratio = 0.0;
   if (log_space) {
     bool any = false;
+    auto widen = [&](size_t i, size_t j) {
+      const double x = SafeLog(values[i * k + j]) - in.row_bias[i];
+      if (!any || x < lo_ratio) lo_ratio = x;
+      if (!any || x > hi_ratio) hi_ratio = x;
+      any = true;
+    };
     for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < k; ++j) {
-        if (w.mask()(i, j) <= 0.0) continue;
-        const double x = SafeLog(w.values()(i, j)) - in.row_bias[i];
-        if (!any || x < lo_ratio) lo_ratio = x;
-        if (!any || x > hi_ratio) hi_ratio = x;
-        any = true;
+      const CellState* states = w.row_states(static_cast<int>(i));
+      for (size_t c = fit.row_start[i]; c < fit.row_start[i + 1]; ++c) {
+        if (states[fit.col[c]] == CellState::kComplete) widen(i, fit.col[c]);
       }
     }
+    for (const ValidationCell& cell : validation) widen(cell.i, cell.j);
     constexpr double kEnvelopeMargin = 0.2;  // ~ +/- 22% beyond observed
     lo_ratio -= kEnvelopeMargin;
     hi_ratio += kEnvelopeMargin;
   }
-  fill();
+  linalg::SweepFill(q_, h_, &fit, &in.censored, &ws, &w_hat);
   // The result must outlive this call (the engine shares it into
   // snapshots), so the final fill's storage leaves the arena by move; the
-  // factor-update and Gram/Cholesky buffers stay pooled.
+  // factor-update and sweep buffers stay pooled.
   linalg::Matrix result = std::move(w_hat);
+  double* out = result.data();
   if (log_space) {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < k; ++j) {
-        if (in.mask(i, j) > 0.0) {
-          // Exact raw passthrough of whatever the fit treated as observed:
-          // the measured latency, or the timeout under kNaiveObserved.
-          result(i, j) = w.mask()(i, j) > 0.0 ? w.values()(i, j)
-                                              : w.timeouts()(i, j);
-        } else {
-          const double log_ratio = std::clamp(
-              result(i, j) + in.col_bias[j], lo_ratio, hi_ratio);
-          result(i, j) = std::exp(log_ratio + in.row_bias[i]);
-          // The censored floor survives the envelope clamp (Algorithm 2
-          // lines 4-5: never predict below a known lower bound).
-          if (clamp && in.censored(i, j) > 0.0) {
-            result(i, j) = std::max(result(i, j), w.timeouts()(i, j));
+    const double* timeouts = w.timeouts().data();
+    const linalg::RowCells& cens = in.censored;
+    ParallelFor(
+        0, n,
+        [&](size_t row_begin, size_t row_end) {
+          for (size_t i = row_begin; i < row_end; ++i) {
+            const CellState* states = w.row_states(static_cast<int>(i));
+            double* o = out + i * k;
+            size_t c = fit.row_start[i];
+            const size_t c_end = fit.row_start[i + 1];
+            for (size_t j = 0; j < k; ++j) {
+              if (c < c_end && fit.col[c] == j) {
+                // Exact raw passthrough of whatever the fit treated as
+                // observed: the measured latency, or the timeout under
+                // kNaiveObserved.
+                const size_t cell = i * k + j;
+                o[j] = states[j] == CellState::kComplete ? values[cell]
+                                                         : timeouts[cell];
+                ++c;
+                continue;
+              }
+              const double log_ratio =
+                  std::clamp(o[j] + in.col_bias[j], lo_ratio, hi_ratio);
+              o[j] = std::exp(log_ratio + in.row_bias[i]);
+            }
+            // The censored floor survives the envelope clamp (Algorithm 2
+            // lines 4-5: never predict below a known lower bound).
+            for (size_t e = cens.row_start[i]; e < cens.row_start[i + 1];
+                 ++e) {
+              o[cens.col[e]] =
+                  std::max(o[cens.col[e]], timeouts[i * k + cens.col[e]]);
+            }
           }
-        }
-      }
-    }
+        },
+        std::max<size_t>(1, 4096 / k));
+  }
+  // Held-out cells are observed values: they pass through raw.
+  for (const ValidationCell& cell : validation) {
+    out[cell.i * k + cell.j] = values[cell.i * k + cell.j];
   }
   return result;
 }

@@ -6,7 +6,7 @@
 #include "common/status.h"
 #include "core/workload_matrix.h"
 #include "linalg/matrix.h"
-#include "linalg/solve.h"
+#include "linalg/als_sweep.h"
 
 namespace limeqo::core {
 
@@ -31,8 +31,9 @@ struct CompletionFactors {
 };
 
 /// Reusable scratch buffers for one completion job: the fill buffer, the
-/// per-sweep factor-update outputs, and the Gram/Cholesky workspaces of the
-/// ridge solves. Every buffer is fully overwritten before it is read, so an
+/// per-sweep factor-update outputs, and the sweep kernels' workspace (the
+/// transposed hint factor and the Gram/Cholesky scratch of the ridge
+/// solves). Every buffer is fully overwritten before it is read, so an
 /// arena-backed completion is bitwise identical to one using private
 /// buffers — the arena only removes the per-call allocations. Ownership
 /// model: a completer holds at most a *borrowed* arena (SetArena) and the
@@ -47,8 +48,8 @@ struct CompletionArena {
   linalg::Matrix q_next;
   /// Hint-factor update output (k x r), swapped with the live factors.
   linalg::Matrix h_next;
-  /// Gram/Cholesky scratch shared by every ridge solve of the job.
-  linalg::RidgeWorkspace ridge;
+  /// Sweep-kernel scratch shared by every fill and ridge solve of the job.
+  linalg::SweepWorkspace sweep;
 };
 
 /// A matrix-completion algorithm: estimates the full workload matrix W-hat

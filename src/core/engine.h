@@ -412,7 +412,11 @@ class ExplorationEngine {
   /// `max_observations` (the free-running train loop caps each batch at
   /// one queue lap so publications can never lag the drain front by more
   /// than queue_capacity() + publish_every). Returns how many observations
-  /// were applied.
+  /// were applied. An uncapped Drain is greedy: it also consumes sequences
+  /// published during the call (a producer parked on a slot this call
+  /// frees can publish into it before the loop stops), so its count is
+  /// bounded below, not exactly, by the prefix published at entry. Pass a
+  /// cap to drain an exact amount.
   size_t Drain(size_t max_observations = kDrainAll);
   /// Re-runs the completion model when predictions are stale (never ran,
   /// refresh_every matrix updates ago, or the matrix grew). Warm-starts

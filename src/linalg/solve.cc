@@ -160,24 +160,6 @@ StatusOr<Matrix> SolveSpd(const Matrix& a, const Matrix& b) {
   return x;
 }
 
-namespace {
-
-// Shared tail of the ridge solvers: factor A^T A + lambda I into ws->chol,
-// then overwrite the rows of `x` (already holding the right-hand side
-// B A or B^T A) with the solution.
-Status RidgeFinish(const Matrix& a, double lambda, RidgeWorkspace* ws,
-                   Matrix* x) {
-  const size_t r = a.cols();
-  GramInto(a, &ws->gram);
-  for (size_t i = 0; i < r; ++i) ws->gram(i, i) += lambda;
-  Status st = CholeskyInto(ws->gram, &ws->chol);
-  if (!st.ok()) return st;
-  SolveCholeskyRowsInPlace(ws->chol, x);
-  return Status::Ok();
-}
-
-}  // namespace
-
 Status RidgeSolveInto(const Matrix& b, const Matrix& a, double lambda,
                       RidgeWorkspace* ws, Matrix* x) {
   if (lambda <= 0.0) {
@@ -187,19 +169,14 @@ Status RidgeSolveInto(const Matrix& b, const Matrix& a, double lambda,
     return Status::InvalidArgument("RidgeSolve: dimension mismatch");
   }
   MultiplyInto(b, a, x);  // x <- B A, the (n x r) right-hand side
-  return RidgeFinish(a, lambda, ws, x);
-}
-
-Status RidgeSolveTransposedInto(const Matrix& b, const Matrix& a,
-                                double lambda, RidgeWorkspace* ws, Matrix* x) {
-  if (lambda <= 0.0) {
-    return Status::InvalidArgument("RidgeSolve requires lambda > 0");
-  }
-  if (b.rows() != a.rows()) {
-    return Status::InvalidArgument("RidgeSolve: dimension mismatch");
-  }
-  TransposedMultiplyInto(b, a, x);  // x <- B^T A
-  return RidgeFinish(a, lambda, ws, x);
+  // Factor A^T A + lambda I, then overwrite the rows of x with the solution.
+  const size_t r = a.cols();
+  GramInto(a, &ws->gram);
+  for (size_t i = 0; i < r; ++i) ws->gram(i, i) += lambda;
+  Status st = CholeskyInto(ws->gram, &ws->chol);
+  if (!st.ok()) return st;
+  SolveCholeskyRowsInPlace(ws->chol, x);
+  return Status::Ok();
 }
 
 StatusOr<Matrix> RidgeSolve(const Matrix& b, const Matrix& a, double lambda) {

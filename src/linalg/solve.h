@@ -23,10 +23,10 @@ StatusOr<Matrix> SolveSpd(const Matrix& a, const Matrix& b);
 /// (n x m); result is (n x r). lambda must be > 0 so the system is SPD.
 StatusOr<Matrix> RidgeSolve(const Matrix& b, const Matrix& a, double lambda);
 
-/// Preallocated scratch for the In-place ridge solvers. Reused across ALS
-/// iterations so the per-iteration allocation count is zero; a default-
-/// constructed workspace grows to the right shapes on first use and then
-/// stays put.
+/// Preallocated scratch for RidgeSolveInto. Reused across calls so repeated
+/// solves do not allocate; a default-constructed workspace grows to the
+/// right shapes on first use and then stays put. (ALS sweeps use the
+/// rank-specialized linalg::SweepRidgeSolve and its SweepWorkspace.)
 struct RidgeWorkspace {
   Matrix gram;  // r x r: A^T A + lambda I
   Matrix chol;  // r x r: its Cholesky factor
@@ -39,12 +39,6 @@ struct RidgeWorkspace {
 /// count. `x` must not alias `a` or `b`.
 Status RidgeSolveInto(const Matrix& b, const Matrix& a, double lambda,
                       RidgeWorkspace* ws, Matrix* x);
-
-/// As RidgeSolveInto but for X = B^T A (A^T A + lambda I)^{-1} with `b`
-/// given untransposed (m x n). This is the ALS H-update
-/// H <- W_hat^T Q (Q^T Q + lambda I)^{-1} without materializing W_hat^T.
-Status RidgeSolveTransposedInto(const Matrix& b, const Matrix& a,
-                                double lambda, RidgeWorkspace* ws, Matrix* x);
 
 /// Lower-level pieces of the workspace solvers, exposed for reuse:
 /// Cholesky into a preallocated factor, and an in-place solve of

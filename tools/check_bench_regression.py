@@ -16,7 +16,9 @@ Watched metrics, by default (the "Serving perf smoke" step):
   * serving_ns_per_op @ 1 thread — end-to-end serving including backend
     execution and observation reporting.
 Each --watch NAME@THREADS replaces the defaults; the "nn perf smoke" step
-watches bench_micro's tcnn_train_epoch_128_samples@1 and tcnn_inference@1.
+watches bench_micro's tcnn_train_epoch_128_samples@1 and tcnn_inference@1,
+the "als perf smoke" step its als_complete_rank5_3133x49@1 and
+als_complete_rank10_1000x49@1.
 
 When the baseline has their entries, also checks two *within-run* ratios
 (current vs current, so scheduler noise largely cancels):
