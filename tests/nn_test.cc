@@ -319,17 +319,23 @@ void MixBits(uint64_t* h, double v) {
 // trained on a fixed mix of complete and censored samples over the real
 // JOB plans, then the exact bits of each returned loss and of PredictLog
 // over every (query, hint). The same shape without embeddings (the plain
-// Bao-style TCNN) is pinned alongside. Any change to an accumulation order,
-// the dropout draw order, or the Adam update moves a hash. Regenerate with
-// LIMEQO_PRINT_TCNN_HASH=1, but only when a change *intends* to alter
-// training numerics.
+// Bao-style TCNN) is pinned alongside, as are the TcnnOptions default
+// shape (conv {32, 16, 8}, fc {32, 16}: channel counts above 16 and an
+// 18-wide head) and an odd-width shape (conv {5, 3}, fc {7}). Any change to
+// an accumulation order, the dropout draw order, or the Adam update moves a
+// hash. Regenerate with LIMEQO_PRINT_TCNN_HASH=1, but only when a change
+// *intends* to alter training numerics.
 struct PinnedTcnn {
+  std::vector<int> conv_channels;
+  std::vector<int> fc_hidden;
   bool use_embeddings;
   uint64_t expected_hash;
 };
-constexpr PinnedTcnn kPinnedTcnns[] = {
-    {true, 0x983860C86AB182EDULL},
-    {false, 0xE327C62946996A6CULL},
+const PinnedTcnn kPinnedTcnns[] = {
+    {{16, 8}, {16}, true, 0x983860C86AB182EDULL},
+    {{16, 8}, {16}, false, 0xE327C62946996A6CULL},
+    {{32, 16, 8}, {32, 16}, true, 0xA8DE34BFE6D190CEULL},
+    {{5, 3}, {7}, true, 0xBDC59AD4C2613B93ULL},
 };
 
 TEST(TcnnTest, TrainingIsBitwisePinned) {
@@ -358,8 +364,8 @@ TEST(TcnnTest, TrainingIsBitwisePinned) {
   const bool print_mode = std::getenv("LIMEQO_PRINT_TCNN_HASH") != nullptr;
   for (const PinnedTcnn& pinned : kPinnedTcnns) {
     TcnnOptions opt;
-    opt.conv_channels = {16, 8};
-    opt.fc_hidden = {16};
+    opt.conv_channels = pinned.conv_channels;
+    opt.fc_hidden = pinned.fc_hidden;
     opt.dropout_p = 0.3;
     opt.embedding_dim = 5;
     opt.censored_loss = true;
@@ -379,13 +385,14 @@ TEST(TcnnTest, TrainingIsBitwisePinned) {
       }
     }
     if (print_mode) {
-      std::printf("    {%s, 0x%016llXULL},\n",
+      std::printf("    %s, 0x%016llXULL\n",
                   pinned.use_embeddings ? "true" : "false",
                   static_cast<unsigned long long>(h));
       continue;
     }
     EXPECT_EQ(h, pinned.expected_hash)
-        << "TCNN numerics changed bitwise (use_embeddings="
+        << "TCNN numerics changed bitwise (conv layers "
+        << pinned.conv_channels.size() << ", use_embeddings="
         << pinned.use_embeddings << ")";
   }
 }
