@@ -26,6 +26,15 @@ class Rng {
   /// Uniform double in [0, 1).
   double NextDouble();
 
+  /// Writes n uniform doubles in [0, 1) to out[0, n): the values of n
+  /// successive NextDouble() calls, leaving the same state, with the state
+  /// held in locals for the whole loop.
+  void NextDoubles(double* out, size_t n) {
+    uint64_t s[4] = {state_[0], state_[1], state_[2], state_[3]};
+    for (size_t i = 0; i < n; ++i) out[i] = ToUnitInterval(Step(s));
+    for (int k = 0; k < 4; ++k) state_[k] = s[k];
+  }
+
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
 
@@ -64,6 +73,26 @@ class Rng {
   Rng Fork();
 
  private:
+  /// One xoshiro256** step: returns the output for state `s` and advances
+  /// it.
+  static uint64_t Step(uint64_t* s) {
+    const uint64_t r = s[1] * 5;
+    const uint64_t result = ((r << 7) | (r >> 57)) * 9;
+    const uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = (s[3] << 45) | (s[3] >> 19);
+    return result;
+  }
+
+  /// 53 random mantissa bits -> uniform in [0, 1).
+  static double ToUnitInterval(uint64_t bits) {
+    return static_cast<double>(bits >> 11) * 0x1.0p-53;
+  }
+
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

@@ -296,7 +296,8 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
         for (size_t c = 0; c < r; ++c) qd[i * r + c] = rng.Uniform(-0.1, 0.1);
         continue;
       }
-      const double scale = std::max(fit_row_mean(i), 1e-6) / r;
+      const double scale =
+          std::max(fit_row_mean(i), 1e-6) / static_cast<double>(r);
       for (size_t c = 0; c < r; ++c) {
         qd[i * r + c] = scale * rng.Uniform(0.6, 1.4);
       }
@@ -326,7 +327,8 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
     for (size_t i = 0; i < n; ++i) {
       // With h entries ~ O(1), a row scale of row_mean / r makes the
       // initial dot product q_i . h_j land near row_mean[i].
-      const double scale = std::max(row_mean[i], 1e-6) / r;
+      const double scale =
+          std::max(row_mean[i], 1e-6) / static_cast<double>(r);
       for (size_t c = 0; c < r; ++c) {
         qd[i * r + c] = scale * rng.Uniform(spread_lo, spread_hi);
       }
@@ -364,7 +366,7 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
       const double d = pred - cell.value;
       se += d * d;
     }
-    return std::sqrt(se / validation.size());
+    return std::sqrt(se / static_cast<double>(validation.size()));
   };
   // Under the convergence criterion the *initial* factors are the first
   // candidate fit: a warm start already at the alternating fixed point

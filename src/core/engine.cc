@@ -204,9 +204,14 @@ void ExplorationEngine::ConfigureServing(
 void ExplorationEngine::Report(const ServingObservation& obs) {
   Slot& slot = slots_[obs.seq & queue_mask_];
   // Wait for the drain to free the slot from the previous lap; only
-  // possible when producers run a full queue length ahead.
-  while (slot.turn.load(std::memory_order_acquire) != obs.seq) {
-    std::this_thread::yield();
+  // possible when producers run a full queue length ahead. The slow path
+  // counts each park once, before its first wait; nothing on the serving
+  // or train path reads the count.
+  if (slot.turn.load(std::memory_order_acquire) != obs.seq) {
+    parked_reports_.fetch_add(1, std::memory_order_relaxed);
+    while (slot.turn.load(std::memory_order_acquire) != obs.seq) {
+      std::this_thread::yield();
+    }
   }
   slot.obs = obs;
   slot.turn.store(obs.seq + 1, std::memory_order_release);

@@ -635,6 +635,12 @@ class ExplorationEngine {
   uint64_t refit_nanos() const {
     return refit_nanos_.load(std::memory_order_relaxed);
   }
+  /// Reports that found their slot still a lap behind and waited for the
+  /// drain (each counted once, when it starts waiting). Readable from any
+  /// thread; lets a test observe a parked producer without a sleep.
+  uint64_t parked_reports() const {
+    return parked_reports_.load(std::memory_order_relaxed);
+  }
   /// Checkpoints successfully written by SaveCheckpoint (including the
   /// train loop's cadence-driven writes and StopTraining's final one).
   uint64_t checkpoints_written() const {
@@ -741,6 +747,11 @@ class ExplorationEngine {
   std::thread train_thread_;
   std::atomic<bool> stop_training_{false};
   bool training_ = false;
+
+  // Reports that waited for a lap (Report's slow path only), on its own
+  // cache line: parked serving threads bump it while the train thread
+  // polls the fields above.
+  alignas(64) std::atomic<uint64_t> parked_reports_{0};
 };
 
 }  // namespace limeqo::core

@@ -3,27 +3,20 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <cstring>
 #include <utility>
 #include <vector>
 
+#include "common/lanes.h"
 #include "common/thread_pool.h"
 #include "linalg/solve.h"
 
 namespace limeqo::linalg {
 namespace {
 
-/// Two double lanes (one SSE2 register). Lane-wise + - * are the scalar
-/// IEEE operations, so a lane reproduces a scalar accumulation exactly.
-typedef double Vec2 __attribute__((vector_size(16)));
-
-inline Vec2 Load2(const double* p) {
-  Vec2 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-inline void Store2(double* p, Vec2 v) { std::memcpy(p, &v, sizeof(v)); }
-inline Vec2 Splat(double x) { return Vec2{x, x}; }
+using lanes::Load2;
+using lanes::Splat;
+using lanes::Store2;
+using lanes::Vec2;
 
 /// Writes `count` values into dst[0, 2 * count) with each one in both
 /// lanes: the kernels then broadcast an operand with a load instead of a

@@ -88,7 +88,7 @@ void TcnnModel::Prepare(const plan::FlatPlan& flat) {
   ws_.max_nodes = n;
   const size_t widest = ws_.widest, rows = static_cast<size_t>(n) * widest;
   ws_.data.assign((3 * ws_.conv.size() + 2) * rows +
-                      (2 * ws_.fc.size() + 4) * widest,
+                      (2 * ws_.fc.size() + 3) * widest,
                   0.0);
   double* next = ws_.data.data();
   auto take = [&next](size_t count) {
@@ -97,8 +97,7 @@ void TcnnModel::Prepare(const plan::FlatPlan& flat) {
   for (auto& conv : ws_.conv) conv = {take(rows), take(rows), take(rows)};
   for (double*& grad : ws_.node_grad) grad = take(rows);
   for (auto& fc : ws_.fc) fc = {take(widest), take(widest)};
-  for (double** row :
-       {&ws_.head, &ws_.head_grad[0], &ws_.head_grad[1], &ws_.tmp}) {
+  for (double** row : {&ws_.head, &ws_.head_grad[0], &ws_.head_grad[1]}) {
     *row = take(widest);
   }
   LIMEQO_CHECK(next == ws_.data.data() + ws_.data.size());
@@ -118,12 +117,16 @@ double TcnnModel::Forward(const plan::FlatPlan& flat, int query, int hint,
     LIMEQO_CHECK(conv.in_dim() == width);
     width = conv.out_dim();
     const size_t size = static_cast<size_t>(n) * width;
-    conv.Forward(flat, x, ws_.conv[l].pre, ws_.tmp);
-    LeakyRelu(ws_.conv[l].pre, ws_.conv[l].act, size);
+    const Workspace::Conv& buf = ws_.conv[l];
+    conv.Forward(flat, x, buf.pre);
     // Dropout between tree convolution layers (paper Sec. 5); draws are
     // node-major, then channel.
-    if (training) Dropout(p, &rng_, ws_.conv[l].act, ws_.conv[l].mask, size);
-    x = ws_.conv[l].act;
+    if (training) {
+      LeakyReluDropout(buf.pre, buf.act, buf.mask, size, p, &rng_);
+    } else {
+      LeakyRelu(buf.pre, buf.act, size);
+    }
+    x = buf.act;
   }
 
   // Dynamic max pooling straight into the head input, then the low-rank
@@ -184,20 +187,20 @@ void TcnnModel::Backward(const plan::FlatPlan& flat, int query, int hint,
   for (size_t li = conv_layers_.size(); li > 0; --li) {
     const size_t l = li - 1;
     TreeConvLayer& conv = conv_layers_[l];
-    const int c = conv.out_dim();
-    // Known defect, kept so training stays bitwise: every node's gradient
-    // is masked with the *last* node's dropout factors instead of its own
-    // (ws_.conv[l].mask + i * c). Fixing it changes training, so the fix
-    // must be judged on exploration quality.
-    const double* mask = ws_.conv[l].mask + static_cast<size_t>(n - 1) * c;
+    const size_t c = static_cast<size_t>(conv.out_dim());
+    const Workspace::Conv& buf = ws_.conv[l];
     for (int i = 0; i < n; ++i) {
-      double* g = grad_nodes + static_cast<size_t>(i) * c;
-      for (int k = 0; k < c; ++k) g[k] *= mask[k];
+      // Known defect, kept so training stays bitwise: every node's gradient
+      // is masked with the *last* node's dropout factors instead of its own
+      // (buf.mask + i * c). Fixing it changes training, so the fix must be
+      // judged on exploration quality.
+      const double* mask = buf.mask + static_cast<size_t>(n - 1) * c;
+      const size_t row = static_cast<size_t>(i) * c;
+      LeakyReluDropoutBackward(buf.pre + row, mask, grad_nodes + row, c);
     }
-    LeakyReluBackward(ws_.conv[l].pre, grad_nodes, static_cast<size_t>(n) * c);
     // Layer 0's input gradient (w.r.t. the plan features) is not needed.
     conv.Backward(flat, l == 0 ? flat.features.data() : ws_.conv[l - 1].act,
-                  grad_nodes, l == 0 ? nullptr : grad_nodes_in, ws_.tmp);
+                  grad_nodes, l == 0 ? nullptr : grad_nodes_in);
     std::swap(grad_nodes, grad_nodes_in);
   }
 }

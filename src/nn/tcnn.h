@@ -99,9 +99,8 @@ class TcnnModel {
     struct Fc { double *pre, *act; };
     std::vector<Fc> fc;
     /// Head input (pooled conv output, then the two embeddings), ping-pong
-    /// node (n x widest) and head gradients, one filter's scratch.
-    double *head = nullptr, *node_grad[2] = {}, *head_grad[2] = {},
-           *tmp = nullptr;
+    /// node (n x widest) and head gradients.
+    double *head = nullptr, *node_grad[2] = {}, *head_grad[2] = {};
     std::vector<int> argmax;
   };
 

@@ -16,43 +16,33 @@ namespace limeqo::nn {
 /// over every (parent, left, right) triangle of the tree, giving the
 /// structural inductive bias that makes TCNNs effective on query plans.
 /// Buffers are row-major node x channel; child indices come from `flat`.
+/// The three filters are one input-major parameter (nn/kernels.h).
 class TreeConvLayer {
  public:
+  /// Filters (self, left, right) from InputMajorFilters, zero bias.
   TreeConvLayer(int in_dim, int out_dim, Rng* rng);
 
-  /// Writes every node's out_dim outputs into `out` (n x out_dim). Each
-  /// child filter sums into `tmp` (out_dim) before it is added.
-  void Forward(const plan::FlatPlan& flat, const double* inputs, double* out,
-               double* tmp) const;
+  /// Writes every node's out_dim outputs into `out` (n x out_dim).
+  void Forward(const plan::FlatPlan& flat, const double* inputs,
+               double* out) const;
 
-  /// Accumulates parameter gradients node by node (self, left, right).
-  /// Unless null, `grad_in` (n x in_dim) is overwritten with the input
-  /// gradients, each filter's summed into `tmp` (in_dim) before it is added.
+  /// Accumulates parameter gradients over the nodes. Unless null,
+  /// `grad_in` (n x in_dim) is overwritten with the input gradients.
   void Backward(const plan::FlatPlan& flat, const double* inputs,
-                const double* grad_out, double* grad_in, double* tmp);
+                const double* grad_out, double* grad_in);
 
-  int in_dim() const { return w_self_.in_dim(); }
-  int out_dim() const { return w_self_.out_dim(); }
+  int in_dim() const { return static_cast<int>(w_.value.rows()) / 3; }
+  int out_dim() const { return static_cast<int>(w_.value.cols()); }
 
-  std::vector<Param*> params();
+  /// Parameters for the optimizer (the three filters, then the bias).
+  std::vector<Param*> params() { return {&w_, &b_}; }
 
  private:
-  // Implemented with three Linear filters; w_self_ carries the bias.
-  Linear w_self_;
-  Linear w_left_;
-  Linear w_right_;
+  LayerView View(const plan::FlatPlan& flat) const;
+
+  Param w_;  // (3 x in) x out: self, left, right filters, input-major
+  Param b_;  // out x 1
 };
-
-/// Dynamic max pooling over an n x channels buffer (paper Sec. 4.3.2):
-/// out[c] = max_i in[i][c], argmax[c] = the first winning node (0 when no
-/// value exceeds -inf). Reduces a variable-size tree to a fixed-size vector.
-void MaxPoolForward(const double* inputs, int n, int channels, double* out,
-                    int* argmax);
-
-/// Overwrites grad_in (n x channels) with each channel's gradient routed to
-/// its winning node and zero elsewhere.
-void MaxPoolBackward(const double* grad_out, const int* argmax, int n,
-                     int channels, double* grad_in);
 
 }  // namespace limeqo::nn
 

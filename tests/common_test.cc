@@ -176,6 +176,24 @@ TEST(RngTest, ForkProducesIndependentStream) {
   EXPECT_LT(same, 3);
 }
 
+TEST(RngTest, NextDoublesEqualsSuccessiveNextDouble) {
+  for (size_t n : {0, 1, 2, 7, 1000}) {
+    Rng bulk(33), single(33);
+    (void)bulk.NextUint64();  // start mid-stream
+    (void)single.NextUint64();
+    std::vector<double> drawn(n + 1, -1.0);
+    bulk.NextDoubles(drawn.data(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(drawn[i], single.NextDouble()) << "n=" << n << " i=" << i;
+    }
+    EXPECT_EQ(drawn[n], -1.0) << "wrote past n=" << n;
+    // Same state afterwards: both streams continue identically.
+    for (int k = 0; k < 8; ++k) {
+      EXPECT_EQ(bulk.NextUint64(), single.NextUint64()) << "n=" << n;
+    }
+  }
+}
+
 TEST(StatsTest, BasicAggregates) {
   std::vector<double> v{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(Sum(v), 10.0);

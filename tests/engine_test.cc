@@ -5,7 +5,6 @@
 // tsan job runs `ctest -R "engine_test|serving_plane_test"`).
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <iostream>
 #include <memory>
@@ -312,7 +311,10 @@ TEST(EngineTest, ReportBlocksWhenAProducerLapsTheQueue) {
     engine.Report(snap->MakeObservation(64, 0, 1, 99.0));
     completed.store(true, std::memory_order_release);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Wait until the producer is observably parked in Report's wait loop;
+  // from then on only the Drain below can let it return.
+  while (engine.parked_reports() == 0) std::this_thread::yield();
+  EXPECT_EQ(engine.parked_reports(), 1u);
   EXPECT_FALSE(completed.load(std::memory_order_acquire))
       << "Report returned while the queue was a full lap ahead of Drain";
   // Frees the lap and unblocks the producer. Capped at the lap filled

@@ -75,15 +75,6 @@ TEST(LinearTest, GradientMatchesFiniteDifference) {
   EXPECT_DOUBLE_EQ(w->grad(0, 0), before + x[0]);
 }
 
-TEST(LinearTest, NoBiasVariantHasZeroAtOrigin) {
-  Rng rng(3);
-  Linear layer(4, 3, &rng, /*has_bias=*/false);
-  Vec x(4, 0.0), y(3, 1.0);
-  layer.Forward(x.data(), y.data());
-  for (double v : y) EXPECT_DOUBLE_EQ(v, 0.0);
-  EXPECT_EQ(layer.params().size(), 1u);
-}
-
 TEST(LeakyReluTest, ForwardAndBackward) {
   Vec x{-2.0, 0.0, 3.0}, y(3);
   LeakyRelu(x.data(), y.data(), 3, 0.1);
@@ -96,17 +87,18 @@ TEST(LeakyReluTest, ForwardAndBackward) {
 }
 
 TEST(DropoutTest, ZeroRateKeepsEverything) {
-  Rng rng(4);
-  Vec x{1.0, 2.0, 3.0}, mask(3, 0.0);
-  Dropout(0.0, &rng, x.data(), mask.data(), 3);
-  EXPECT_EQ(x, (Vec{1.0, 2.0, 3.0}));
+  Rng rng(4), untouched(4);
+  Vec x{1.0, 2.0, 3.0}, y(3), mask(3, 0.0);
+  LeakyReluDropout(x.data(), y.data(), mask.data(), 3, 0.0, &rng);
+  EXPECT_EQ(y, x);
   EXPECT_EQ(mask, (Vec{1.0, 1.0, 1.0}));
+  EXPECT_EQ(rng.NextUint64(), untouched.NextUint64());  // no draws
 }
 
 TEST(DropoutTest, TrainingZerosAndRescales) {
   Rng rng(5);
-  Vec y(1000, 1.0), mask(1000);
-  Dropout(0.5, &rng, y.data(), mask.data(), y.size());
+  Vec x(1000, 1.0), y(1000), mask(1000);
+  LeakyReluDropout(x.data(), y.data(), mask.data(), y.size(), 0.5, &rng);
   int zeros = 0;
   for (size_t i = 0; i < y.size(); ++i) {
     EXPECT_EQ(y[i], mask[i]);
@@ -144,14 +136,14 @@ TEST(TreeConvTest, LeafEqualsSelfFilterOnly) {
   Rng rng(8);
   FlatPlan flat = SmallFlatPlan();
   TreeConvLayer layer(plan::kNodeFeatureDim, 4, &rng);
-  Vec out(3 * 4), out2(3 * 4), tmp(4);
-  layer.Forward(flat, flat.features.data(), out.data(), tmp.data());
+  Vec out(3 * 4), out2(3 * 4);
+  layer.Forward(flat, flat.features.data(), out.data());
   // A leaf has no children: re-running with children zeroed out changes
   // nothing for the leaf but does change the root.
   FlatPlan no_children = flat;
   no_children.left_child.assign(3, -1);
   no_children.right_child.assign(3, -1);
-  layer.Forward(no_children, flat.features.data(), out2.data(), tmp.data());
+  layer.Forward(no_children, flat.features.data(), out2.data());
   for (size_t c = 0; c < 4; ++c) EXPECT_DOUBLE_EQ(out[4 + c], out2[4 + c]);
   bool root_changed = false;
   for (size_t c = 0; c < 4; ++c) {
@@ -169,17 +161,16 @@ TEST(TreeConvTest, GradientMatchesFiniteDifference) {
 
   // Scalar loss: sum of all outputs.
   auto loss = [&](const Vec& inputs) {
-    Vec out(n * 3), tmp(3);
-    layer.Forward(flat, inputs.data(), out.data(), tmp.data());
+    Vec out(n * 3);
+    layer.Forward(flat, inputs.data(), out.data());
     double s = 0.0;
     for (double x : out) s += x;
     return s;
   };
 
   const Vec inputs = flat.features;
-  Vec grad_out(n * 3, 1.0), grad_in(n * in), tmp(in);
-  layer.Backward(flat, inputs.data(), grad_out.data(), grad_in.data(),
-                 tmp.data());
+  Vec grad_out(n * 3, 1.0), grad_in(n * in);
+  layer.Backward(flat, inputs.data(), grad_out.data(), grad_in.data());
 
   const double eps = 1e-6;
   for (size_t k = 0; k < inputs.size(); ++k) {
