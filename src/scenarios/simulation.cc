@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -120,49 +121,15 @@ core::BackendResult ExecuteDefaultFallback(core::WorkloadBackend* backend,
   return core::BackendResult{};
 }
 
-/// Resolves which hint a faulted serving actually serves: retry the chosen
-/// hint up to max_retries extra attempts (accounting seeded exponential
-/// backoff per retry), then degrade to the default hint, which never
-/// fails. Pure in (backend schedule, query, chosen, seq), so serving
-/// traces stay bitwise identical at any thread count under faults.
-struct ResolvedServing {
-  int hint = 0;
-  int failures = 0;
-  bool degraded = false;
-  double backoff_seconds = 0.0;
-};
-ResolvedServing ResolveServingFaults(const ScenarioBackend& backend,
-                                     const FaultSpec& faults, int max_retries,
-                                     double backoff_base, int query,
-                                     int chosen, uint64_t seq) {
-  ResolvedServing r;
-  r.hint = chosen;
-  for (int attempt = 0;; ++attempt) {
-    if (!backend.ServeAttemptFails(query, r.hint, seq, attempt)) break;
-    ++r.failures;
-    if (attempt >= max_retries) {
-      // Graceful degradation: the chosen plan keeps failing, the serving
-      // must still answer — fall back to the default hint (never fails).
-      r.hint = 0;
-      r.degraded = true;
-      break;
-    }
-    Rng jitter(MixSeed(faults.seed, seq, static_cast<uint64_t>(attempt)));
-    r.backoff_seconds +=
-        backoff_base * std::ldexp(1.0, attempt) * (0.5 + jitter.NextDouble());
-  }
-  return r;
-}
-
 /// The serving rule's no-regression guarantee (Algorithm 1 lines 13-15),
-/// checked against the hints the *actual serving component* chose — not
-/// re-derived from the matrix, so a regression in OnlineOptimizer or
-/// OfflineExplorer::BestHints is what trips it. A non-default serving must
-/// be a complete (never censored) observation no slower than the observed
-/// default.
+/// checked against the hints a serving component chose — not re-derived
+/// here, so a regression in OnlineOptimizer or
+/// WorkloadMatrix::BestObservedHint is what trips it. A non-default serving
+/// must be a complete (never censored) observation no slower than the
+/// observed default.
 void CheckNoRegression(const core::WorkloadMatrix& m,
                        const std::vector<int>& served_hints,
-                       const char* phase, SimulationResult* result) {
+                       const std::string& phase, SimulationResult* result) {
   LIMEQO_CHECK(static_cast<int>(served_hints.size()) == m.num_queries());
   for (int q = 0; q < m.num_queries(); ++q) {
     const int served = served_hints[q];
@@ -183,16 +150,6 @@ void CheckNoRegression(const core::WorkloadMatrix& m,
       Violate(result, "no-regression", os.str());
     }
   }
-}
-
-/// Served hints per query as the online path would pick them.
-std::vector<int> OnlineServedHints(const core::WorkloadMatrix& m) {
-  core::OnlineOptimizer serving(&m);
-  std::vector<int> hints(m.num_queries());
-  for (int q = 0; q < m.num_queries(); ++q) {
-    hints[q] = serving.ChooseHint(q);
-  }
-  return hints;
 }
 
 /// The three aligned matrices must stay mutually consistent (Algorithm 2's
@@ -228,6 +185,25 @@ void CheckMatrixConsistency(const core::WorkloadMatrix& m,
       }
     }
   }
+}
+
+/// The served-matrix check after each phase: the matrix stays consistent,
+/// and both serving rules keep the no-regression guarantee on it — the
+/// verified best (WorkloadMatrix::BestObservedHint, what
+/// OfflineExplorer::BestHints serves) as `phase`, and the online path's
+/// OnlineOptimizer rule as `phase`-serving.
+void CheckServedMatrix(const core::WorkloadMatrix& m, const std::string& phase,
+                       SimulationResult* result) {
+  CheckMatrixConsistency(m, result);
+  core::OnlineOptimizer serving(&m);
+  std::vector<int> best(m.num_queries());
+  std::vector<int> served(m.num_queries());
+  for (int q = 0; q < m.num_queries(); ++q) {
+    best[q] = std::max(0, m.BestObservedHint(q));
+    served[q] = serving.ChooseHint(q);
+  }
+  CheckNoRegression(m, best, phase, result);
+  CheckNoRegression(m, served, phase + "-serving", result);
 }
 
 /// One entry of the merged drift+arrival timeline. Events sort by budget
@@ -313,6 +289,875 @@ void ApplyArrivalChecked(core::OfflineExplorer* explorer,
         Violate(result, "arrival-fresh-rows", os.str());
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Run phases. Each writes its metrics and violations into the
+// SimulationResult; SimulationDriver::Run is their sequence.
+// ---------------------------------------------------------------------------
+
+/// Queue capacity of every free-running engine. A queue much smaller than
+/// the serving phase makes the staleness bound meaningful
+/// (2 * capacity + threads * batch + publish_every must undercut the total
+/// servings): producers more than a lap ahead of the drain block, so the
+/// bound is a hard invariant, not a heuristic.
+constexpr size_t kFreeRunningQueueCapacity = 64;
+/// Global serving indices a free-running thread claims per atomic RMW.
+constexpr uint64_t kDecisionBatch = 16;
+
+/// Everything one run builds before it explores: the scenario backend
+/// (fault-wrapped under a fault world), the exploration policy, and the
+/// offline explorer that owns the engine.
+struct World {
+  std::unique_ptr<ScenarioBackend> backend;
+  /// The fault decorator inside `backend`; null without a fault world.
+  FaultyBackend* fault_injector = nullptr;
+  std::unique_ptr<core::ExplorationPolicy> policy;
+  std::unique_ptr<core::OfflineExplorer> explorer;
+};
+
+World BuildWorld(const ScenarioSpec& spec, const RunConfig& config,
+                 SimulationResult* result) {
+  // Plan trees only exist behind the bridge; a neural arm on the bare
+  // surface is a configuration error, not a world property.
+  LIMEQO_CHECK(config.arm == PredictorArm::kCompleter ||
+               config.world == WorldKind::kSimDb);
+  LIMEQO_CHECK(!config.free_running || config.serve_threads >= 1);
+  result->scenario = spec.name;
+  result->seed = spec.seed;
+  result->world = WorldKindName(config.world);
+
+  World world;
+  if (config.world == WorldKind::kSimDb) {
+    world.backend = std::make_unique<SimDbScenarioBackend>(spec);
+  } else {
+    world.backend = std::make_unique<SyntheticBackend>(spec);
+  }
+  // Under a fault world the whole run talks to the decorator: exploration,
+  // serving, and the invariant checks all see the faulted surface, and the
+  // decorator's own accounting (timeouts_reported, max_single_charge)
+  // describes what the run actually observed.
+  if (config.faults.any()) {
+    auto faulty = std::make_unique<FaultyBackend>(
+        std::move(world.backend), config.faults, config.max_retries,
+        config.retry_backoff_seconds);
+    world.fault_injector = faulty.get();
+    world.backend = std::move(faulty);
+  }
+  result->default_latency = world.backend->DefaultWorkloadLatency();
+  result->optimal_latency = world.backend->OptimalWorkloadLatency();
+
+  world.policy =
+      MakePolicy(config, world.backend.get(), MixSeed(spec.seed, 0x504Fu));
+  result->policy = world.policy->name();
+
+  int total_arrivals = 0;
+  for (const ArrivalEvent& a : spec.arrivals) total_arrivals += a.count;
+  // Arrivals covering the whole workload is the cold-start fleet: the
+  // explorer is stood up over an empty matrix (initial_queries == 0) and
+  // every query attaches later through the arrival schedule.
+  LIMEQO_CHECK(total_arrivals <= spec.num_queries);
+
+  core::ExplorerOptions options;
+  options.batch_size = spec.batch_size;
+  options.timeout_alpha = spec.timeout_alpha;
+  options.use_timeouts = spec.use_timeouts;
+  options.seed = MixSeed(spec.seed, 0x4558u);
+  options.initial_queries =
+      total_arrivals > 0 ? spec.num_queries - total_arrivals : -1;
+  options.engine.delta_publication = !config.full_snapshot_rebuild;
+  if (config.free_running) {
+    options.engine.queue_capacity = kFreeRunningQueueCapacity;
+  }
+  world.explorer = std::make_unique<core::OfflineExplorer>(
+      world.backend.get(), world.policy.get(), options);
+  return world;
+}
+
+/// The offline loop, drift + arrival events at their budget marks, then
+/// the offline invariants.
+void RunOffline(const ScenarioSpec& spec, World* world,
+                SimulationResult* result) {
+  core::OfflineExplorer& explorer = *world->explorer;
+  ScenarioBackend& backend = *world->backend;
+  const std::vector<TimelineEvent> events = BuildTimeline(spec);
+  const double budget = spec.budget_fraction * backend.DefaultWorkloadLatency();
+  double spent_fraction = 0.0;
+  for (size_t e = 0; e <= events.size(); ++e) {
+    const double until = e < events.size() ? events[e].at : 1.0;
+    const std::vector<core::TrajectoryPoint> trajectory =
+        explorer.Explore((until - spent_fraction) * budget);
+    spent_fraction = until;
+    // Between events observations only accumulate on unobserved cells, so
+    // the served workload latency can only improve.
+    for (size_t t = 1; t < trajectory.size(); ++t) {
+      if (trajectory[t].workload_latency >
+          trajectory[t - 1].workload_latency + 1e-9) {
+        std::ostringstream os;
+        os << "segment " << e << " step " << t << ": "
+           << trajectory[t - 1].workload_latency << "s -> "
+           << trajectory[t].workload_latency << "s";
+        Violate(result, "offline-monotonicity", os.str());
+      }
+    }
+    if (e < events.size()) {
+      if (events[e].is_arrival) {
+        ApplyArrivalChecked(&explorer, backend, events[e].count, result);
+        result->arrivals += events[e].count;
+      } else {
+        backend.ApplyDrift(events[e].severity);
+        explorer.ResetAfterDataShift();
+      }
+    }
+  }
+
+  result->offline_seconds = explorer.offline_seconds();
+  result->overhead_seconds = explorer.overhead_seconds();
+  result->executions = explorer.num_executions();
+  result->timeouts = explorer.num_timeouts();
+
+  // Each Explore call may overshoot its deadline by at most one execution's
+  // charge, and the event timeline splits the budget into events.size() + 1
+  // calls — so that is the exact end-to-end overshoot bound.
+  const double overshoot_allowance =
+      static_cast<double>(events.size() + 1) * explorer.max_single_charge();
+  if (explorer.offline_seconds() > budget + overshoot_allowance + 1e-9) {
+    std::ostringstream os;
+    os << explorer.offline_seconds() << "s spent vs budget " << budget
+       << "s + " << events.size() + 1 << " segments x max charge "
+       << explorer.max_single_charge() << "s";
+    Violate(result, "offline-budget", os.str());
+  }
+  if (explorer.num_timeouts() != backend.timeouts_reported()) {
+    std::ostringstream os;
+    os << "explorer counted " << explorer.num_timeouts()
+       << " timeouts, backend reported " << backend.timeouts_reported();
+    Violate(result, "timeout-accounting", os.str());
+  }
+  if (!spec.use_timeouts && (explorer.num_timeouts() != 0 ||
+                             explorer.matrix().NumCensored() != 0)) {
+    std::ostringstream os;
+    os << explorer.num_timeouts() << " timeouts / "
+       << explorer.matrix().NumCensored()
+       << " censored cells with timeouts disabled";
+    Violate(result, "timeout-accounting", os.str());
+  }
+  if (explorer.matrix().num_queries() != spec.num_queries) {
+    std::ostringstream os;
+    os << explorer.matrix().num_queries() << " matrix rows after the "
+       << "arrival schedule, expected " << spec.num_queries;
+    Violate(result, "arrival-fresh-rows", os.str());
+  }
+  CheckServedMatrix(explorer.matrix(), "offline", result);
+}
+
+/// How one serving's faults resolved (OnlineContext::Resolve).
+struct ResolvedServing {
+  int hint = 0;                  // hint actually served
+  int failures = 0;              // attempts that failed
+  bool degraded = false;         // fell back to the default hint
+  double backoff_seconds = 0.0;  // seeded retry backoff accounted
+};
+
+/// What every online serving mode reads: the run's spec and config, the
+/// fleet serving options, and the world's backend.
+struct OnlineContext {
+  const ScenarioSpec& spec;
+  const RunConfig& config;
+  ScenarioBackend& backend;
+  core::OnlineExplorationOptions online;
+  SimulationResult* result;
+
+  /// Resolves which hint a faulted serving actually serves: retry the
+  /// chosen hint up to max_retries extra attempts (accounting seeded
+  /// exponential backoff per retry), then degrade to the default hint,
+  /// which never fails. Pure in (backend schedule, query, chosen, seq), so
+  /// serving traces stay bitwise identical at any thread count under
+  /// faults.
+  ResolvedServing Resolve(int query, int chosen, uint64_t seq) const {
+    ResolvedServing r;
+    r.hint = chosen;
+    for (int attempt = 0;; ++attempt) {
+      if (!backend.ServeAttemptFails(query, r.hint, seq, attempt)) break;
+      ++r.failures;
+      if (attempt >= config.max_retries) {
+        // Graceful degradation: the chosen plan keeps failing, the serving
+        // must still answer — fall back to the default hint (never fails).
+        r.hint = 0;
+        r.degraded = true;
+        break;
+      }
+      Rng jitter(
+          MixSeed(config.faults.seed, seq, static_cast<uint64_t>(attempt)));
+      r.backoff_seconds += config.retry_backoff_seconds *
+                           std::ldexp(1.0, attempt) *
+                           (0.5 + jitter.NextDouble());
+    }
+    return r;
+  }
+};
+
+/// What a serving mode hands to the shared online checks.
+struct ServedPhase {
+  /// How far past the regret budget the mode's gate may let the ledger
+  /// run (the "online bounds" of SimulationDriver), and what it is made
+  /// of: the gate reads a live ledger (synchronous), a snapshot's frozen
+  /// one (epoch), or one that in-flight servings have not reached yet.
+  double regret_allowance = 0.0;
+  const char* allowance_kind = "one serving";
+  /// The tier's merged reassembly — the ground truth the fleet observed —
+  /// captured before any freeze probe; empty when the explorer's own
+  /// engine served.
+  std::optional<core::WorkloadMatrix> merged;
+};
+
+/// Adds one serving's fault outcome to the result's fault block. Callers
+/// sum in serving order, so the totals are deterministic even when the
+/// run is not.
+void AccountServingFaults(const ResolvedServing& r, SimulationResult* result) {
+  result->fault_serve_failures += r.failures;
+  if (r.degraded) ++result->fault_serve_fallbacks;
+  result->fault_backoff_seconds += r.backoff_seconds;
+}
+
+/// An exhausted budget must freeze exploration for good: `frozen`
+/// explorations before the freeze probe, `now` after it.
+void CheckFrozen(const std::string& who, int frozen, int now,
+                 SimulationResult* result) {
+  if (now == frozen) return;
+  std::ostringstream os;
+  os << who << now - frozen << " explorations after budget exhaustion";
+  Violate(result, "online-budget-freeze", os.str());
+}
+
+/// Records a serving mode's headline metrics; every mode calls it before
+/// its freeze probe adds diagnostic traffic.
+void RecordTotals(int servings, int explorations, double regret,
+                  const core::WorkloadMatrix& served,
+                  SimulationResult* result) {
+  result->servings = servings;
+  result->explorations = explorations;
+  result->regret_spent = regret;
+  result->final_latency = served.CurrentWorkloadLatency();
+}
+
+/// Synchronous serving: one thread acting as both planes through
+/// OnlineExplorationOptimizer, the paper's Algorithm 1 with a live ledger.
+ServedPhase ServeSynchronous(const OnlineContext& ctx,
+                             core::ExplorationEngine& engine) {
+  SimulationResult* result = ctx.result;
+  const int n = ctx.spec.num_queries;
+  core::OnlineExplorationOptimizer optimizer(&engine, ctx.online);
+  double max_served = 0.0;
+  for (int s = 0; s < ctx.spec.online_servings; ++s) {
+    const int q = s % n;
+    const int hint = optimizer.ChooseHint(q);
+    const core::BackendResult r =
+        ctx.backend.Execute(q, hint, /*timeout_seconds=*/0.0);
+    if (r.failed) {
+      // Graceful degradation, synchronous flavor: the chosen plan's
+      // execution kept failing, so this serving answers with the default
+      // hint instead. The fallback bypasses the optimizer — it is an
+      // infrastructure fault, not an exploration decision — and is
+      // reported non-exploratory with zero regret, so the ledger and the
+      // gate/freeze invariants never see fault cost.
+      const core::BackendResult fb = ExecuteDefaultFallback(&ctx.backend, q);
+      ++result->fault_serve_fallbacks;
+      max_served = std::max(max_served, fb.observed_latency);
+      engine.ObserveServing(q, 0, fb.observed_latency,
+                            /*exploratory=*/false, /*regret_delta=*/0.0);
+      continue;
+    }
+    max_served = std::max(max_served, r.observed_latency);
+    optimizer.ReportLatency(q, hint, r.observed_latency);
+  }
+  ServedPhase phase;
+  phase.regret_allowance = max_served;
+
+  RecordTotals(optimizer.servings(), optimizer.explorations(),
+               optimizer.regret_spent(), engine.matrix(), result);
+
+  if (optimizer.budget_exhausted()) {
+    const int frozen = optimizer.explorations();
+    for (int s = 0; s < 50; ++s) {
+      const int q = s % n;
+      const int hint = optimizer.ChooseHint(q);
+      const core::BackendResult r = ctx.backend.Execute(q, hint, 0.0);
+      if (r.failed) continue;  // a dropped probe can't unfreeze anything
+      optimizer.ReportLatency(q, hint, r.observed_latency);
+    }
+    CheckFrozen("", frozen, optimizer.explorations(), result);
+  }
+  return phase;
+}
+
+/// RecordTotals for a tier run, capturing the merged reassembly the final
+/// checks read.
+void RecordTierTotals(const core::ShardedServingTier& tier, int total,
+                      ServedPhase* phase, SimulationResult* result) {
+  phase->merged = tier.MergedMatrix();
+  RecordTotals(total, tier.explorations(), tier.regret_spent(),
+               *phase->merged, result);
+}
+
+/// Per-shard freeze: a shard whose slice is exhausted (published, after
+/// the epoch barrier or StopTraining) must not explore again through 50
+/// more schedule servings in publish_every epochs; the other shards may
+/// keep exploring theirs. Runs after the headline metrics are recorded.
+void CheckTierFreeze(const OnlineContext& ctx,
+                     core::ShardedServingTier& tier) {
+  std::vector<int> frozen(tier.num_shards(), -1);
+  bool any_exhausted = false;
+  for (int i = 0; i < tier.num_shards(); ++i) {
+    if (!tier.shard_engine(i).budget_exhausted()) continue;
+    frozen[i] = tier.shard_engine(i).explorations();
+    any_exhausted = true;
+  }
+  if (!any_exhausted) return;
+  const uint64_t from = tier.scheduled_servings();
+  const uint64_t epoch_len = static_cast<uint64_t>(ctx.online.publish_every);
+  for (uint64_t epoch = from; epoch < from + 50; epoch += epoch_len) {
+    tier.ServeSchedule(epoch, std::min(from + 50, epoch + epoch_len), 1,
+                       [&](int q, int chosen, uint64_t seq) {
+                         core::ServedOutcome out;
+                         out.hint = chosen;
+                         out.latency = ctx.backend.ServeLatency(q, chosen, seq);
+                         return out;
+                       });
+  }
+  for (int i = 0; i < tier.num_shards(); ++i) {
+    if (frozen[i] < 0) continue;
+    CheckFrozen("shard " + std::to_string(i) + ": ", frozen[i],
+                tier.shard_engine(i).explorations(), ctx.result);
+  }
+}
+
+/// Epoch-synchronized serving through the tier: ServeSchedule preassigns
+/// shard-local sequence numbers in global order, so the merged trace is
+/// bitwise identical at every serving thread count (and at one shard
+/// equals the bare engine's epoch serving, tests/shard_router_test.cc).
+/// Epochs are publish_every servings long; each shard refits on its own
+/// refresh_every cadence inside the epoch barrier.
+ServedPhase ServeTierEpochs(const OnlineContext& ctx,
+                            core::ShardedServingTier& tier) {
+  SimulationResult* result = ctx.result;
+  const int total = ctx.spec.online_servings;
+  const int shards = tier.num_shards();
+  const int publish_every = ctx.online.publish_every;
+  result->serving_trace.resize(total);
+  // Written by the serving thread that owns each index.
+  std::vector<ResolvedServing> faults(total);
+  std::vector<double> shard_epoch_regret(shards, 0.0);
+  std::vector<double> regret_before(shards, 0.0);
+  for (int epoch = 0; epoch < total; epoch += publish_every) {
+    for (int i = 0; i < shards; ++i) {
+      regret_before[i] = tier.shard_engine(i).regret_spent();
+    }
+    tier.ServeSchedule(
+        epoch, std::min(total, epoch + publish_every),
+        ctx.config.serve_threads,
+        [&](int q, int chosen, uint64_t seq) {
+          const ResolvedServing served = ctx.Resolve(q, chosen, seq);
+          faults[seq] = served;
+          core::ServedOutcome out;
+          out.hint = served.hint;
+          out.degraded = served.degraded;
+          out.latency = ctx.backend.ServeLatency(q, served.hint, seq);
+          return out;
+        },
+        [&](uint64_t seq, int q, int hint, double latency) {
+          result->serving_trace[seq] = ServingRecord{q, hint, latency};
+        });
+    for (int i = 0; i < shards; ++i) {
+      shard_epoch_regret[i] =
+          std::max(shard_epoch_regret[i],
+                   tier.shard_engine(i).regret_spent() - regret_before[i]);
+    }
+  }
+  for (const ResolvedServing& f : faults) AccountServingFaults(f, result);
+
+  // Each shard's slice can be overshot by one epoch of its own
+  // exploratory regret, so the fleet allowance is the sum.
+  ServedPhase phase;
+  for (int i = 0; i < shards; ++i) {
+    phase.regret_allowance += shard_epoch_regret[i];
+  }
+  phase.allowance_kind = "one epoch per shard";
+  RecordTierTotals(tier, total, &phase, result);
+  CheckTierFreeze(ctx, tier);
+  return phase;
+}
+
+/// One free-running serving, written once by the serving thread that
+/// claimed its global index (no locking required).
+struct FreeRecord {
+  int query = 0;
+  ResolvedServing served;     // the hint actually served and its faults
+  double latency = 0.0;
+  bool exploratory = false;
+  double regret_delta = 0.0;
+  int shard = 0;              // engine that served it (0 without a tier)
+  uint64_t local_seq = 0;     // that engine's sequence number
+  uint64_t snapshot_seq = 0;  // published_seq of the deciding snapshot
+};
+
+/// Serves one free-running decision: resolves faults, observes the
+/// latency, records the serving at global index `seq`, and reports the
+/// observation to `engine` under its local sequence number.
+void ServeFree(const OnlineContext& ctx, const core::ServingSnapshot& snap,
+               core::ExplorationEngine& engine, int shard, uint64_t seq,
+               uint64_t local_seq, int query, int local_row, int chosen,
+               std::vector<FreeRecord>* records) {
+  const ResolvedServing served = ctx.Resolve(query, chosen, seq);
+  const double latency = ctx.backend.ServeLatency(query, served.hint, seq);
+  core::ServingObservation obs =
+      snap.MakeObservation(local_seq, local_row, served.hint, latency);
+  if (served.degraded) {
+    // A degraded fallback is fault cost, not an exploration decision: it
+    // must neither charge the ledger nor look like a budgeted probe to the
+    // free-gate/freeze invariants.
+    obs.exploratory = false;
+    obs.regret_delta = 0.0;
+  }
+  (*records)[seq] = {query,           served,           latency,
+                     obs.exploratory, obs.regret_delta, shard,
+                     local_seq,       snap.published_seq()};
+  engine.Report(obs);
+}
+
+/// Runs `body` on `threads` serving threads and joins them.
+void RunServingThreads(int threads, const std::function<void()>& body) {
+  std::vector<std::thread> servers;
+  servers.reserve(threads);
+  for (int t = 0; t < threads; ++t) servers.emplace_back(body);
+  for (std::thread& t : servers) t.join();
+}
+
+/// One engine of a free-running run, as the replay sees it.
+struct FreeShard {
+  const core::ExplorationEngine* engine;
+  double slice;  // the regret budget it gates on
+  int rows;      // query rows it holds
+};
+
+/// The free-running replay, shared by the engine loop (one shard holding
+/// every row) and the tier loop: sequence accounting, then per engine in
+/// local order ledger consistency, slice-gated exploration, and the local
+/// and composed global staleness bounds. Records the staleness percentiles
+/// and returns the summed per-engine in-flight regret windows, or nullopt
+/// when the sequence accounting failed and the replay could not run.
+std::optional<double> ReplayFreeRunning(const OnlineContext& ctx,
+                                        const std::vector<FreeRecord>& records,
+                                        const std::vector<FreeShard>& shards) {
+  SimulationResult* result = ctx.result;
+  const int total = static_cast<int>(records.size());
+  const uint64_t n = static_cast<uint64_t>(ctx.spec.num_queries);
+  const uint64_t threads = static_cast<uint64_t>(ctx.config.serve_threads);
+  const size_t num_shards = shards.size();
+
+  // No serving lost or double-counted: each engine's local sequence
+  // numbers are exactly 0..count-1 for the servings routed to it, and it
+  // drained exactly those.
+  std::vector<uint64_t> routed(num_shards, 0);
+  for (const FreeRecord& r : records) ++routed[r.shard];
+  std::vector<std::vector<int>> local_to_global(num_shards);
+  for (size_t i = 0; i < num_shards; ++i) {
+    local_to_global[i].assign(static_cast<size_t>(routed[i]), -1);
+  }
+  bool seq_ok = true;
+  for (int s = 0; s < total; ++s) {
+    const FreeRecord& r = records[s];
+    if (r.local_seq >= local_to_global[r.shard].size() ||
+        local_to_global[r.shard][r.local_seq] != -1) {
+      std::ostringstream os;
+      os << "serving " << s << " drained at shard " << r.shard
+         << " local seq " << r.local_seq
+         << " (out of range or double-counted)";
+      Violate(result, "shard-seq-accounting", os.str());
+      seq_ok = false;
+      continue;
+    }
+    local_to_global[r.shard][r.local_seq] = s;
+  }
+  for (size_t i = 0; i < num_shards; ++i) {
+    if (shards[i].engine->drained_servings() != routed[i]) {
+      std::ostringstream os;
+      os << "shard " << i << " drained "
+         << shards[i].engine->drained_servings() << " servings, "
+         << routed[i] << " were routed to it";
+      Violate(result, "shard-seq-accounting", os.str());
+      seq_ok = false;
+    }
+  }
+  if (!seq_ok) return std::nullopt;
+
+  double summed_inflight = 0.0;
+  std::vector<uint64_t> global_staleness;
+  global_staleness.reserve(static_cast<size_t>(total));
+  for (size_t i = 0; i < num_shards; ++i) {
+    const std::vector<int>& order = local_to_global[i];
+    const uint64_t count = routed[i];
+    // prefix[l] is the regret drained before local serving l — bitwise
+    // the ledger any snapshot published at drain front l froze, because
+    // the drain applies deltas in the same order with the same additions.
+    std::vector<double> prefix(static_cast<size_t>(count) + 1, 0.0);
+    for (uint64_t l = 0; l < count; ++l) {
+      prefix[l + 1] = prefix[l] + records[order[l]].regret_delta;
+    }
+    const double spent = shards[i].engine->regret_spent();
+    if (std::abs(prefix[count] - spent) > 1e-9) {
+      std::ostringstream os;
+      os << "shard " << i << " drained ledger " << spent
+         << "s != replayed per-serving deltas " << prefix[count] << "s";
+      Violate(result, "free-ledger-consistency", os.str());
+    }
+    // The local bound: a producer of local serving l blocks until the
+    // drain passes l - capacity, the train loop's publications lag the
+    // drain front by < capacity + publish_every (capacity-capped batches,
+    // publish at >= publish_every lag), and at most threads *
+    // kDecisionBatch acquired indices are unreported at any instant.
+    const uint64_t local_bound =
+        2 * shards[i].engine->queue_capacity() + threads * kDecisionBatch +
+        static_cast<uint64_t>(ctx.online.publish_every);
+    const uint64_t rows_here = static_cast<uint64_t>(shards[i].rows);
+    // Shard i holds rows_here of the n round-robin queries, so a
+    // local-sequence gap of d spans at most (d / rows_here + 2) windows of
+    // n global indices *in schedule order*. Free-running threads report
+    // claimed batches out of schedule order by at most the in-flight
+    // window (threads * kDecisionBatch claimed-but-unreported globals at
+    // either end of the gap), which widens the rank gap by
+    // 2 * threads * kDecisionBatch.
+    const uint64_t skew = 2 * threads * kDecisionBatch;
+    const uint64_t global_bound =
+        rows_here > 0 ? ((local_bound + skew) / rows_here + 2) * n : 0;
+    double max_inflight = 0.0;
+    for (uint64_t l = 0; l < count; ++l) {
+      const FreeRecord& r = records[order[l]];
+      const uint64_t p = r.snapshot_seq;
+      if (p > l) {
+        std::ostringstream os;
+        os << "shard " << i << " local serving " << l
+           << " decided on snapshot seq " << p << " ahead of itself";
+        Violate(result, "free-gate", os.str());
+        continue;
+      }
+      // Gate correctness + the explicit slack term: every exploration's
+      // deciding snapshot must have been under the slice, and the ledger
+      // can pass it only by what some single decision could not yet see.
+      if (r.exploratory) {
+        if (prefix[p] >= shards[i].slice) {
+          std::ostringstream os;
+          os << "shard " << i << " serving " << order[l] << " (query "
+             << r.query << ", hint " << r.served.hint << ", " << r.latency
+             << "s) explored on a snapshot whose ledger (" << prefix[p]
+             << "s) already exhausted the slice (" << shards[i].slice
+             << "s)";
+          Violate(result, "free-gate", os.str());
+        }
+        max_inflight = std::max(max_inflight, prefix[l + 1] - prefix[p]);
+      }
+      if (l - p > local_bound) {
+        std::ostringstream os;
+        os << "shard " << i << " local staleness " << l - p
+           << " exceeds the per-shard bound " << local_bound;
+        Violate(result, "free-staleness", os.str());
+      }
+      const uint64_t deciding_global =
+          static_cast<uint64_t>(p < count ? order[p] : order[l]);
+      const uint64_t s = static_cast<uint64_t>(order[l]);
+      const uint64_t gstale = s > deciding_global ? s - deciding_global : 0;
+      global_staleness.push_back(gstale);
+      if (gstale > global_bound) {
+        std::ostringstream os;
+        os << "serving " << s << " global staleness " << gstale
+           << " exceeds the composed tier bound " << global_bound
+           << " (shard " << i << ", " << rows_here << "/" << n << " rows)";
+        Violate(result, "free-staleness", os.str());
+      }
+    }
+    summed_inflight += max_inflight;
+  }
+  std::sort(global_staleness.begin(), global_staleness.end());
+  if (!global_staleness.empty()) {
+    const size_t size = global_staleness.size();
+    result->staleness_p50 = static_cast<double>(global_staleness[size / 2]);
+    result->staleness_p95 =
+        static_cast<double>(global_staleness[(95 * (size - 1)) / 100]);
+    result->staleness_max = static_cast<double>(global_staleness.back());
+  }
+  return summed_inflight;
+}
+
+/// Sums a free-running run's faults and replays it into `phase`'s
+/// in-flight allowance. Runs after the headline metrics are recorded.
+void FinishFreeRunning(const OnlineContext& ctx,
+                       const std::vector<FreeRecord>& records,
+                       const std::vector<FreeShard>& shards,
+                       ServedPhase* phase) {
+  for (const FreeRecord& r : records) {
+    AccountServingFaults(r.served, ctx.result);
+  }
+  if (const std::optional<double> inflight =
+          ReplayFreeRunning(ctx, records, shards)) {
+    phase->regret_allowance = *inflight;
+    phase->allowance_kind = "summed per-shard in-flight windows";
+    ctx.result->regret_slack = std::max(
+        0.0, ctx.result->regret_spent - ctx.online.regret_budget_seconds);
+  }
+}
+
+/// Free-running serving on the explorer's own engine: a real background
+/// train thread against serve_threads free-running serving threads. Kept
+/// beside the tier's free-running loop because one engine-wide claim
+/// counter gives it a hard staleness bound the tier's separate global and
+/// local claims do not.
+ServedPhase ServeEngineFreeRunning(const OnlineContext& ctx,
+                                   core::ExplorationEngine& engine) {
+  SimulationResult* result = ctx.result;
+  engine.ConfigureServing(ctx.online);
+  engine.RefreshPredictions(/*force=*/true);
+  engine.Publish();
+
+  const int total = ctx.spec.online_servings;
+  const int n = ctx.spec.num_queries;
+  std::vector<FreeRecord> records(total);
+  engine.StartTraining();
+  RunServingThreads(ctx.config.serve_threads, [&] {
+    std::shared_ptr<const core::ServingSnapshot> snap = engine.snapshot();
+    uint64_t version = snap->version();
+    // Each thread claims kDecisionBatch consecutive indices per atomic RMW
+    // and decides them with one batched ChooseHints call (decision-identical
+    // to per-index scalar calls) — the version probe, snapshot pin, and
+    // index acquisition are amortized across the batch. Indices claimed at
+    // or past `total` are simply never reported: nothing below them is left
+    // unreported, so the drain cleanly stops at the `total` front.
+    std::array<int, kDecisionBatch> queries;
+    std::array<int, kDecisionBatch> hints;
+    for (;;) {
+      const uint64_t first = engine.AcquireServingIndices(kDecisionBatch);
+      if (first >= static_cast<uint64_t>(total)) break;
+      const size_t cnt = static_cast<size_t>(std::min<uint64_t>(
+          kDecisionBatch, static_cast<uint64_t>(total) - first));
+      // Steady-state read path: one relaxed version probe per batch; the
+      // pointer handoff only happens on an actual publication.
+      if (engine.snapshot_version() != version) {
+        snap = engine.snapshot();
+        version = snap->version();
+      }
+      for (size_t i = 0; i < cnt; ++i) {
+        queries[i] = static_cast<int>((first + i) % n);
+      }
+      snap->ChooseHints(std::span<const int>(queries.data(), cnt), first,
+                        std::span<int>(hints.data(), cnt));
+      for (size_t i = 0; i < cnt; ++i) {
+        const uint64_t seq = first + i;
+        ServeFree(ctx, *snap, engine, /*shard=*/0, seq, seq, queries[i],
+                  queries[i], hints[i], &records);
+      }
+    }
+  });
+  engine.StopTraining();  // final drain + publish
+
+  RecordTotals(total, engine.explorations(), engine.regret_spent(),
+               engine.matrix(), result);
+  ServedPhase phase;
+  FinishFreeRunning(ctx, records,
+                    {{&engine, ctx.online.regret_budget_seconds, n}}, &phase);
+
+  // Eventual freeze: once the exhausted ledger is published (the final
+  // StopTraining publish at the latest), no serving may explore again.
+  // Probe with schedule-assigned sequence numbers so the queue stays
+  // contiguous past the threads' unreported overshoot indices.
+  if (engine.budget_exhausted()) {
+    const int frozen = engine.explorations();
+    std::shared_ptr<const core::ServingSnapshot> snap = engine.snapshot();
+    for (int i = 0; i < 50; ++i) {
+      const uint64_t seq = static_cast<uint64_t>(total) + i;
+      const int q = static_cast<int>(seq % n);
+      const int hint = snap->ChooseHint(q, seq);
+      const double latency = ctx.backend.ServeLatency(q, hint, seq);
+      engine.Report(snap->MakeObservation(seq, q, hint, latency));
+    }
+    engine.SyncEpoch();
+    CheckFrozen("", frozen, engine.explorations(), result);
+  }
+  return phase;
+}
+
+/// Free-running serving through the tier: every shard trains in the
+/// background; serving threads claim *global* index batches, route each
+/// serving to its shard, and report under shard-local sequence numbers.
+ServedPhase ServeTierFreeRunning(const OnlineContext& ctx,
+                                 core::ShardedServingTier& tier) {
+  const int total = ctx.spec.online_servings;
+  const int n = ctx.spec.num_queries;
+  const int shards = tier.num_shards();
+  std::vector<FreeRecord> records(total);
+  tier.StartTraining();
+  RunServingThreads(ctx.config.serve_threads, [&] {
+    std::vector<std::shared_ptr<const core::ServingSnapshot>> snaps(shards);
+    std::vector<uint64_t> versions(shards, ~uint64_t{0});
+    for (;;) {
+      const uint64_t first = tier.AcquireServingIndices(kDecisionBatch);
+      if (first >= static_cast<uint64_t>(total)) break;
+      const uint64_t cnt = std::min<uint64_t>(
+          kDecisionBatch, static_cast<uint64_t>(total) - first);
+      for (uint64_t i = 0; i < cnt; ++i) {
+        const uint64_t seq = first + i;
+        const int q = static_cast<int>(seq % n);
+        const int shard = tier.ShardOfRow(q);
+        const int local_row = tier.LocalRowOf(q);
+        core::ExplorationEngine& eng = tier.shard_engine(shard);
+        // Claim the local slot before probing the snapshot: the
+        // unreported slot holds the shard's drain back, so the deciding
+        // snapshot cannot fall more than the local bound behind it. A
+        // thread preempted between probe and claim would hold no slot,
+        // and its staleness would have no bound.
+        const uint64_t local_seq = eng.AcquireServingIndex();
+        if (snaps[shard] == nullptr ||
+            eng.snapshot_version() != versions[shard]) {
+          snaps[shard] = eng.snapshot();
+          versions[shard] = snaps[shard]->version();
+        }
+        ServeFree(ctx, *snaps[shard], eng, shard, seq, local_seq, q,
+                  local_row, snaps[shard]->ChooseHint(local_row, seq),
+                  &records);
+      }
+    }
+  });
+  tier.StopTraining();
+
+  ServedPhase phase;
+  RecordTierTotals(tier, total, &phase, ctx.result);
+  std::vector<FreeShard> engines;
+  for (int i = 0; i < shards; ++i) {
+    engines.push_back(
+        {&tier.shard_engine(i), tier.shard_budget(i), tier.ShardRowCount(i)});
+  }
+  FinishFreeRunning(ctx, records, engines, &phase);
+
+  CheckTierFreeze(ctx, tier);
+  return phase;
+}
+
+/// Serves the online phase through a ShardedServingTier of
+/// max(1, shards) engines over the explorer's matrix. Decisions stay keyed
+/// by *global* serving index, so the fleet consumes exactly one
+/// epsilon-gate draw per serving like a single engine would.
+ServedPhase ServeThroughTier(const OnlineContext& ctx,
+                             const core::WorkloadMatrix& matrix) {
+  const RunConfig& config = ctx.config;
+  const int shards = std::max(1, config.shards);
+  // A neural arm featurizes plans by global row; only at one shard are the
+  // shard-local rows the global ones.
+  LIMEQO_CHECK(config.arm == PredictorArm::kCompleter || shards == 1);
+  std::vector<std::unique_ptr<core::Predictor>> predictors;
+  std::vector<core::Predictor*> predictor_ptrs;
+  for (int i = 0; i < shards; ++i) {
+    // Per-shard instances of the same predictor configuration (same
+    // derived seed): refits are per-shard-matrix pure functions.
+    predictors.push_back(MakePredictor(config, &ctx.backend,
+                                       MixSeed(ctx.spec.seed, 0x4F4Eu)));
+    predictor_ptrs.push_back(predictors.back().get());
+  }
+  core::ShardedTierOptions options;
+  options.num_shards = shards;
+  options.online = ctx.online;
+  options.engine.delta_publication = !config.full_snapshot_rebuild;
+  if (config.free_running) {
+    options.engine.queue_capacity = kFreeRunningQueueCapacity;
+  }
+  core::ShardedServingTier tier(matrix, predictor_ptrs, options);
+  tier.RefreshAll(/*force=*/true);
+  tier.PublishAll();
+  return config.free_running ? ServeTierFreeRunning(ctx, tier)
+                             : ServeTierEpochs(ctx, tier);
+}
+
+/// The checks every serving mode shares: the regret budget plus the
+/// mode's allowance, the binomial epsilon cap, and the served-matrix check
+/// on what the serving plane observed.
+void CheckOnline(const OnlineContext& ctx, const ServedPhase& phase,
+                 const core::WorkloadMatrix& served) {
+  SimulationResult* result = ctx.result;
+  if (result->regret_spent >
+      ctx.online.regret_budget_seconds + phase.regret_allowance + 1e-9) {
+    std::ostringstream os;
+    os << result->regret_spent << "s regret vs budget "
+       << ctx.online.regret_budget_seconds << "s + " << phase.allowance_kind
+       << " (" << phase.regret_allowance << "s)";
+    Violate(result, "online-regret-budget", os.str());
+  }
+  // Exploration is gated by one Bernoulli(epsilon) per serving: the count
+  // is stochastically dominated by Binomial(servings, epsilon). A 4-sigma
+  // band never flakes with deterministic seeds.
+  const double epsilon = ctx.spec.epsilon;
+  const double n = static_cast<double>(result->servings);
+  const double cap =
+      n * epsilon + 4.0 * std::sqrt(n * epsilon * (1.0 - epsilon)) + 2.0;
+  if (result->explorations > cap) {
+    std::ostringstream os;
+    os << result->explorations << " explorations in " << result->servings
+       << " servings exceeds epsilon cap " << cap;
+    Violate(result, "online-epsilon-cap", os.str());
+  }
+  if (epsilon == 0.0 && result->explorations != 0) {
+    Violate(result, "online-epsilon-cap", "explorations with epsilon = 0");
+  }
+  CheckServedMatrix(served, "online", result);
+}
+
+/// The online phase: dispatches to the serving mode `config` names, then
+/// runs the shared online checks.
+void RunOnline(const ScenarioSpec& spec, const RunConfig& config,
+               World* world, SimulationResult* result) {
+  core::OfflineExplorer& explorer = *world->explorer;
+  if (spec.online_servings <= 0) {
+    result->final_latency = explorer.matrix().CurrentWorkloadLatency();
+    return;
+  }
+  OnlineContext ctx{spec, config, *world->backend, {}, result};
+  ctx.online.epsilon = spec.epsilon;
+  ctx.online.min_predicted_ratio = spec.min_predicted_ratio;
+  ctx.online.regret_budget_seconds = spec.online_regret_budget_seconds;
+  ctx.online.seed = MixSeed(spec.seed, 0x534Fu);
+
+  ServedPhase phase;
+  if (config.serve_threads <= 0 ||
+      (config.free_running && config.shards <= 0)) {
+    // The explorer's own engine serves.
+    std::unique_ptr<core::Predictor> predictor = MakePredictor(
+        config, world->backend.get(), MixSeed(spec.seed, 0x4F4Eu));
+    core::ExplorationEngine& engine = explorer.engine();
+    engine.SetPredictor(predictor.get());
+    phase = config.serve_threads <= 0 ? ServeSynchronous(ctx, engine)
+                                      : ServeEngineFreeRunning(ctx, engine);
+    engine.SetPredictor(nullptr);  // the predictor dies with this scope
+  } else {
+    phase = ServeThroughTier(ctx, explorer.matrix());
+  }
+  CheckOnline(ctx, phase, phase.merged ? *phase.merged : explorer.matrix());
+}
+
+/// No-double-charge under a fault world: every Execute call the decorator
+/// dropped must have been dropped whole by its caller too — the explorer's
+/// failed-call count can never exceed what the backend actually refused
+/// (serving fallbacks and free-observation retries consume the rest).
+void CheckFaultAccounting(const World& world, SimulationResult* result) {
+  const FaultyBackend* faults = world.fault_injector;
+  if (faults == nullptr) return;
+  result->fault_exec_failures = faults->exec_failures();
+  result->fault_exec_retries = faults->exec_retries();
+  result->fault_exec_exhausted = faults->exec_exhausted();
+  result->fault_backoff_seconds += faults->backoff_seconds();
+  const int dropped = world.explorer->num_failed_executions();
+  if (dropped > faults->exec_exhausted()) {
+    std::ostringstream os;
+    os << "explorer dropped " << dropped
+       << " executions but the backend only refused "
+       << faults->exec_exhausted();
+    Violate(result, "fault-accounting", os.str());
   }
 }
 
@@ -411,983 +1256,11 @@ SimulationResult SimulationDriver::Run(PolicyKind policy,
 }
 
 SimulationResult SimulationDriver::Run(const RunConfig& config) {
-  // Plan trees only exist behind the bridge; a neural arm on the bare
-  // surface is a configuration error, not a world property.
-  LIMEQO_CHECK(config.arm == PredictorArm::kCompleter ||
-               config.world == WorldKind::kSimDb);
-
   SimulationResult result;
-  result.scenario = spec_.name;
-  result.seed = spec_.seed;
-  result.world = WorldKindName(config.world);
-
-  std::unique_ptr<ScenarioBackend> backend;
-  if (config.world == WorldKind::kSimDb) {
-    backend = std::make_unique<SimDbScenarioBackend>(spec_);
-  } else {
-    backend = std::make_unique<SyntheticBackend>(spec_);
-  }
-  // Under a fault world the whole run talks to the decorator: exploration,
-  // serving, and the invariant checks all see the faulted surface, and the
-  // decorator's own accounting (timeouts_reported, max_single_charge)
-  // describes what the run actually observed.
-  FaultyBackend* fault_injector = nullptr;
-  if (config.faults.any()) {
-    auto faulty = std::make_unique<FaultyBackend>(
-        std::move(backend), config.faults, config.max_retries,
-        config.retry_backoff_seconds);
-    fault_injector = faulty.get();
-    backend = std::move(faulty);
-  }
-  result.default_latency = backend->DefaultWorkloadLatency();
-  result.optimal_latency = backend->OptimalWorkloadLatency();
-
-  std::unique_ptr<core::ExplorationPolicy> exploration_policy =
-      MakePolicy(config, backend.get(), MixSeed(spec_.seed, 0x504Fu));
-  result.policy = exploration_policy->name();
-
-  int total_arrivals = 0;
-  for (const ArrivalEvent& a : spec_.arrivals) total_arrivals += a.count;
-  // Arrivals covering the whole workload is the cold-start fleet: the
-  // explorer is stood up over an empty matrix (initial_queries == 0) and
-  // every query attaches later through the arrival schedule.
-  LIMEQO_CHECK(total_arrivals <= spec_.num_queries);
-
-  core::ExplorerOptions options;
-  options.batch_size = spec_.batch_size;
-  options.timeout_alpha = spec_.timeout_alpha;
-  options.use_timeouts = spec_.use_timeouts;
-  options.seed = MixSeed(spec_.seed, 0x4558u);
-  options.initial_queries =
-      total_arrivals > 0 ? spec_.num_queries - total_arrivals : -1;
-  options.engine.delta_publication = !config.full_snapshot_rebuild;
-  if (config.free_running) {
-    LIMEQO_CHECK(config.serve_threads >= 1);
-    // A queue much smaller than the serving phase makes the free-running
-    // staleness bound meaningful (2 * capacity + threads + publish_every
-    // must undercut the total servings): producers more than a lap ahead
-    // of the drain block, so the bound is a hard invariant, not a
-    // heuristic.
-    options.engine.queue_capacity = 64;
-  }
-  core::OfflineExplorer explorer(backend.get(), exploration_policy.get(),
-                                 options);
-
-  // ---- Offline loop, drift + arrival events at their budget marks -------
-  const double budget =
-      spec_.budget_fraction * backend->DefaultWorkloadLatency();
-  const std::vector<TimelineEvent> events = BuildTimeline(spec_);
-  double spent_fraction = 0.0;
-  for (size_t e = 0; e <= events.size(); ++e) {
-    const double until = e < events.size() ? events[e].at : 1.0;
-    const std::vector<core::TrajectoryPoint> trajectory =
-        explorer.Explore((until - spent_fraction) * budget);
-    spent_fraction = until;
-    // Between events observations only accumulate on unobserved cells, so
-    // the served workload latency can only improve.
-    for (size_t t = 1; t < trajectory.size(); ++t) {
-      if (trajectory[t].workload_latency >
-          trajectory[t - 1].workload_latency + 1e-9) {
-        std::ostringstream os;
-        os << "segment " << e << " step " << t << ": "
-           << trajectory[t - 1].workload_latency << "s -> "
-           << trajectory[t].workload_latency << "s";
-        Violate(&result, "offline-monotonicity", os.str());
-      }
-    }
-    if (e < events.size()) {
-      if (events[e].is_arrival) {
-        ApplyArrivalChecked(&explorer, *backend, events[e].count, &result);
-        result.arrivals += events[e].count;
-      } else {
-        backend->ApplyDrift(events[e].severity);
-        explorer.ResetAfterDataShift();
-      }
-    }
-  }
-
-  result.offline_seconds = explorer.offline_seconds();
-  result.overhead_seconds = explorer.overhead_seconds();
-  result.executions = explorer.num_executions();
-  result.timeouts = explorer.num_timeouts();
-
-  // ---- Offline invariants ----------------------------------------------
-  // Each Explore call may overshoot its deadline by at most one execution's
-  // charge, and the event timeline splits the budget into events.size() + 1
-  // calls — so that is the exact end-to-end overshoot bound.
-  const double overshoot_allowance =
-      static_cast<double>(events.size() + 1) * explorer.max_single_charge();
-  if (explorer.offline_seconds() > budget + overshoot_allowance + 1e-9) {
-    std::ostringstream os;
-    os << explorer.offline_seconds() << "s spent vs budget " << budget
-       << "s + " << events.size() + 1 << " segments x max charge "
-       << explorer.max_single_charge() << "s";
-    Violate(&result, "offline-budget", os.str());
-  }
-  if (explorer.num_timeouts() != backend->timeouts_reported()) {
-    std::ostringstream os;
-    os << "explorer counted " << explorer.num_timeouts()
-       << " timeouts, backend reported " << backend->timeouts_reported();
-    Violate(&result, "timeout-accounting", os.str());
-  }
-  if (!spec_.use_timeouts && (explorer.num_timeouts() != 0 ||
-                              explorer.matrix().NumCensored() != 0)) {
-    std::ostringstream os;
-    os << explorer.num_timeouts() << " timeouts / "
-       << explorer.matrix().NumCensored()
-       << " censored cells with timeouts disabled";
-    Violate(&result, "timeout-accounting", os.str());
-  }
-  if (explorer.matrix().num_queries() != spec_.num_queries) {
-    std::ostringstream os;
-    os << explorer.matrix().num_queries() << " matrix rows after the "
-       << "arrival schedule, expected " << spec_.num_queries;
-    Violate(&result, "arrival-fresh-rows", os.str());
-  }
-  CheckMatrixConsistency(explorer.matrix(), &result);
-  // Both real serving outputs: the offline loop's BestHints and the online
-  // path's OnlineOptimizer rule.
-  CheckNoRegression(explorer.matrix(), explorer.BestHints(), "offline",
-                    &result);
-  CheckNoRegression(explorer.matrix(), OnlineServedHints(explorer.matrix()),
-                    "offline-serving", &result);
-
-  // ---- Online serving phase --------------------------------------------
-  if (spec_.online_servings > 0) {
-    std::unique_ptr<core::Predictor> predictor =
-        MakePredictor(config, backend.get(), MixSeed(spec_.seed, 0x4F4Eu));
-    core::OnlineExplorationOptions online;
-    online.epsilon = spec_.epsilon;
-    online.min_predicted_ratio = spec_.min_predicted_ratio;
-    online.regret_budget_seconds = spec_.online_regret_budget_seconds;
-    online.seed = MixSeed(spec_.seed, 0x534Fu);
-    core::ExplorationEngine& engine = explorer.engine();
-    engine.SetPredictor(predictor.get());
-
-    // The per-mode regret-overshoot allowance: one serving's latency in
-    // the synchronous mode (the budget check is live, before each
-    // serving); one epoch's exploratory regret in the epoch-synchronized
-    // concurrent mode (the gate reads the snapshot's frozen ledger, so
-    // everything charged within an epoch lands after the decision that
-    // allowed it); the largest in-flight regret window any single
-    // decision could not yet see in the free-running mode.
-    double regret_allowance = 0.0;
-    const char* allowance_kind = "one serving";
-    // Sharded runs serve from the tier's per-shard matrices; the merged
-    // reassembly replaces explorer.matrix() for the final checks.
-    std::optional<core::WorkloadMatrix> sharded_final;
-
-    if (config.shards >= 1) {
-      // -- Sharded serving tier: the whole online phase runs across
-      // config.shards engines behind the deterministic router
-      // (src/core/shard_router.h). Rows partition by the seed-pure hash;
-      // the fleet regret budget splits into row-count-proportional
-      // slices; decisions stay keyed by *global* serving index, so the
-      // fleet consumes exactly one epsilon-gate draw per serving like a
-      // single engine would.
-      LIMEQO_CHECK(config.serve_threads >= 1);
-      LIMEQO_CHECK(config.arm == PredictorArm::kCompleter);
-      std::vector<std::unique_ptr<core::Predictor>> shard_predictors;
-      std::vector<core::Predictor*> shard_predictor_ptrs;
-      shard_predictors.reserve(config.shards);
-      for (int i = 0; i < config.shards; ++i) {
-        // Per-shard instances of the same predictor configuration (same
-        // derived seed): refits are per-shard-matrix pure functions, and
-        // at one shard the single predictor matches the unsharded path.
-        shard_predictors.push_back(MakePredictor(
-            config, backend.get(), MixSeed(spec_.seed, 0x4F4Eu)));
-        shard_predictor_ptrs.push_back(shard_predictors.back().get());
-      }
-      core::ShardedTierOptions tier_options;
-      tier_options.num_shards = config.shards;
-      tier_options.online = online;
-      tier_options.engine.delta_publication = !config.full_snapshot_rebuild;
-      if (config.free_running) tier_options.engine.queue_capacity = 64;
-      tier_options.shared_train_plane = config.shared_train_plane;
-      core::ShardedServingTier tier(explorer.matrix(), shard_predictor_ptrs,
-                                    tier_options);
-      tier.RefreshAll(/*force=*/true);
-      tier.PublishAll();
-
-      const int total = spec_.online_servings;
-      const int threads = config.serve_threads;
-      const int n = spec_.num_queries;
-      const int shards = tier.num_shards();
-
-      if (config.free_running) {
-        // -- Free-running sharded plane: every shard runs its own train
-        // thread; serving threads claim *global* index batches, route
-        // each serving to its shard, and report under shard-local
-        // sequence numbers. The invariants below are the single-engine
-        // statistical set applied per shard, plus the fleet-wide
-        // compositions.
-        struct ShardFreeRecord {
-          int query = 0;
-          int hint = 0;
-          double latency = 0.0;
-          bool exploratory = false;
-          double regret_delta = 0.0;
-          int shard = 0;
-          uint64_t local_seq = 0;
-          uint64_t snapshot_seq = 0;  // shard-local published_seq
-          int serve_failures = 0;
-          bool degraded = false;
-          double backoff_seconds = 0.0;
-        };
-        std::vector<ShardFreeRecord> records(total);
-
-        tier.StartTraining();
-        std::vector<std::thread> servers;
-        servers.reserve(threads);
-        for (int t = 0; t < threads; ++t) {
-          servers.emplace_back([&] {
-            std::vector<std::shared_ptr<const core::ServingSnapshot>> snaps(
-                shards);
-            std::vector<uint64_t> versions(shards, ~uint64_t{0});
-            constexpr uint64_t kDecisionBatch = 16;
-            for (;;) {
-              const uint64_t first =
-                  tier.AcquireServingIndices(kDecisionBatch);
-              if (first >= static_cast<uint64_t>(total)) break;
-              const uint64_t cnt = std::min<uint64_t>(
-                  kDecisionBatch, static_cast<uint64_t>(total) - first);
-              for (uint64_t i = 0; i < cnt; ++i) {
-                const uint64_t seq = first + i;
-                const int q = static_cast<int>(seq % n);
-                const int shard = tier.ShardOfRow(q);
-                const int local_row = tier.LocalRowOf(q);
-                core::ExplorationEngine& eng = tier.shard_engine(shard);
-                if (snaps[shard] == nullptr ||
-                    eng.snapshot_version() != versions[shard]) {
-                  snaps[shard] = eng.snapshot();
-                  versions[shard] = snaps[shard]->version();
-                }
-                const int chosen = snaps[shard]->ChooseHint(local_row, seq);
-                const ResolvedServing served = ResolveServingFaults(
-                    *backend, config.faults, config.max_retries,
-                    config.retry_backoff_seconds, q, chosen, seq);
-                const double latency =
-                    backend->ServeLatency(q, served.hint, seq);
-                const uint64_t local_seq = eng.AcquireServingIndex();
-                core::ServingObservation obs = snaps[shard]->MakeObservation(
-                    local_seq, local_row, served.hint, latency);
-                if (served.degraded) {
-                  obs.exploratory = false;
-                  obs.regret_delta = 0.0;
-                }
-                records[seq] = {q,
-                                served.hint,
-                                latency,
-                                obs.exploratory,
-                                obs.regret_delta,
-                                shard,
-                                local_seq,
-                                snaps[shard]->published_seq(),
-                                served.failures,
-                                served.degraded,
-                                served.backoff_seconds};
-                eng.Report(obs);
-              }
-            }
-          });
-        }
-        for (std::thread& t : servers) t.join();
-        tier.StopTraining();
-
-        result.servings = total;
-        result.explorations = tier.explorations();
-        result.regret_spent = tier.regret_spent();
-        // Capture the merged reassembly before the freeze probe below adds
-        // diagnostic traffic (the bare modes record final_latency at the
-        // same point).
-        sharded_final = tier.MergedMatrix();
-        result.final_latency = sharded_final->CurrentWorkloadLatency();
-
-        // Fault accounting in global sequence order (deterministic sums
-        // over a timing-dependent run).
-        for (int s = 0; s < total; ++s) {
-          result.fault_serve_failures += records[s].serve_failures;
-          if (records[s].degraded) ++result.fault_serve_fallbacks;
-          result.fault_backoff_seconds += records[s].backoff_seconds;
-        }
-
-        // ---- No serving lost or double-counted: each shard's local
-        // sequence numbers must be exactly 0..count-1 for the servings
-        // routed to it, and each shard must have drained exactly what was
-        // routed.
-        std::vector<uint64_t> routed(shards, 0);
-        for (int s = 0; s < total; ++s) ++routed[records[s].shard];
-        std::vector<std::vector<int>> local_to_global(shards);
-        for (int i = 0; i < shards; ++i) {
-          local_to_global[i].assign(static_cast<size_t>(routed[i]), -1);
-        }
-        bool seq_ok = true;
-        for (int s = 0; s < total; ++s) {
-          const ShardFreeRecord& r = records[s];
-          if (r.local_seq >= local_to_global[r.shard].size() ||
-              local_to_global[r.shard][r.local_seq] != -1) {
-            std::ostringstream os;
-            os << "serving " << s << " drained at shard " << r.shard
-               << " local seq " << r.local_seq
-               << " (out of range or double-counted)";
-            Violate(&result, "shard-seq-accounting", os.str());
-            seq_ok = false;
-            continue;
-          }
-          local_to_global[r.shard][r.local_seq] = s;
-        }
-        for (int i = 0; i < shards; ++i) {
-          if (tier.shard_engine(i).drained_servings() != routed[i]) {
-            std::ostringstream os;
-            os << "shard " << i << " drained "
-               << tier.shard_engine(i).drained_servings() << " servings, "
-               << routed[i] << " were routed to it";
-            Violate(&result, "shard-seq-accounting", os.str());
-            seq_ok = false;
-          }
-        }
-
-        if (seq_ok) {
-          // ---- Per-shard replay in local order: ledger consistency,
-          // slice-gated exploration, the local staleness bound — plus the
-          // fleet compositions (summed in-flight slack, the composed
-          // global-index staleness bound).
-          double summed_inflight = 0.0;
-          std::vector<uint64_t> global_staleness;
-          global_staleness.reserve(static_cast<size_t>(total));
-          for (int i = 0; i < shards; ++i) {
-            const std::vector<int>& order = local_to_global[i];
-            const uint64_t count = routed[i];
-            std::vector<double> prefix(static_cast<size_t>(count) + 1, 0.0);
-            for (uint64_t l = 0; l < count; ++l) {
-              prefix[l + 1] = prefix[l] + records[order[l]].regret_delta;
-            }
-            const double shard_spent = tier.shard_engine(i).regret_spent();
-            if (std::abs(prefix[count] - shard_spent) > 1e-9) {
-              std::ostringstream os;
-              os << "shard " << i << " drained ledger " << shard_spent
-                 << "s != replayed per-serving deltas " << prefix[count]
-                 << "s";
-              Violate(&result, "free-ledger-consistency", os.str());
-            }
-            const double slice = tier.shard_budget(i);
-            const uint64_t local_bound =
-                2 * tier.shard_engine(i).queue_capacity() +
-                static_cast<uint64_t>(threads) * 16 +
-                static_cast<uint64_t>(online.publish_every);
-            const uint64_t rows_here =
-                static_cast<uint64_t>(tier.ShardRowCount(i));
-            // Shard i holds rows_here of the n round-robin queries, so a
-            // local-sequence gap of d spans at most (d / rows_here + 2)
-            // windows of n global indices *in schedule order*. Free-running
-            // threads report claimed batches out of schedule order by at
-            // most the in-flight window (threads * 16 claimed-but-
-            // unreported globals at either end of the gap), which widens
-            // the rank gap by 2 * threads * 16.
-            const uint64_t skew = 2 * static_cast<uint64_t>(threads) * 16;
-            const uint64_t global_bound =
-                rows_here > 0 ? ((local_bound + skew) / rows_here + 2) *
-                                    static_cast<uint64_t>(n)
-                              : 0;
-            double max_inflight = 0.0;
-            for (uint64_t l = 0; l < count; ++l) {
-              const ShardFreeRecord& r = records[order[l]];
-              const uint64_t p = r.snapshot_seq;
-              if (p > l) {
-                std::ostringstream os;
-                os << "shard " << i << " local serving " << l
-                   << " decided on snapshot seq " << p
-                   << " ahead of itself";
-                Violate(&result, "free-gate", os.str());
-                continue;
-              }
-              if (r.exploratory) {
-                if (prefix[p] >= slice) {
-                  std::ostringstream os;
-                  os << "shard " << i << " serving " << order[l]
-                     << " (query " << r.query << ", hint " << r.hint << ", "
-                     << r.latency
-                     << "s) explored on a snapshot whose ledger ("
-                     << prefix[p] << "s) already exhausted the slice ("
-                     << slice << "s)";
-                  Violate(&result, "free-gate", os.str());
-                }
-                max_inflight = std::max(max_inflight, prefix[l + 1] - prefix[p]);
-              }
-              const uint64_t local_stale = l - p;
-              if (local_stale > local_bound) {
-                std::ostringstream os;
-                os << "shard " << i << " local staleness " << local_stale
-                   << " exceeds the per-shard bound " << local_bound;
-                Violate(&result, "free-staleness", os.str());
-              }
-              const uint64_t deciding_global = static_cast<uint64_t>(
-                  p < count ? order[p] : order[l]);
-              const uint64_t s = static_cast<uint64_t>(order[l]);
-              const uint64_t gstale =
-                  s > deciding_global ? s - deciding_global : 0;
-              global_staleness.push_back(gstale);
-              if (gstale > global_bound) {
-                std::ostringstream os;
-                os << "serving " << s << " global staleness " << gstale
-                   << " exceeds the composed tier bound " << global_bound
-                   << " (shard " << i << ", " << rows_here << "/" << n
-                   << " rows)";
-                Violate(&result, "free-staleness", os.str());
-              }
-            }
-            summed_inflight += max_inflight;
-          }
-          regret_allowance = summed_inflight;
-          allowance_kind = "summed per-shard in-flight windows";
-          result.regret_slack = std::max(
-              0.0, result.regret_spent - online.regret_budget_seconds);
-          std::sort(global_staleness.begin(), global_staleness.end());
-          if (!global_staleness.empty()) {
-            result.staleness_p50 = static_cast<double>(
-                global_staleness[global_staleness.size() / 2]);
-            result.staleness_p95 = static_cast<double>(
-                global_staleness[(95 * (global_staleness.size() - 1)) / 100]);
-            result.staleness_max =
-                static_cast<double>(global_staleness.back());
-          }
-        }
-
-        // ---- Fleet freeze: once every slice's exhausted ledger is
-        // published, no shard may explore again. Probed with the
-        // deterministic schedule (StopTraining re-synced the counters).
-        if (tier.budget_exhausted()) {
-          std::vector<int> frozen(shards);
-          for (int i = 0; i < shards; ++i) {
-            frozen[i] = tier.shard_engine(i).explorations();
-          }
-          const uint64_t probe = tier.claimed_servings();
-          tier.ServeSchedule(
-              probe, probe + 50, 1,
-              [&](int q, int chosen, uint64_t seq) {
-                core::ServedOutcome out;
-                out.hint = chosen;
-                out.latency = backend->ServeLatency(q, chosen, seq);
-                return out;
-              });
-          for (int i = 0; i < shards; ++i) {
-            if (tier.shard_engine(i).explorations() != frozen[i]) {
-              std::ostringstream os;
-              os << "shard " << i << ": "
-                 << tier.shard_engine(i).explorations() - frozen[i]
-                 << " explorations after budget exhaustion";
-              Violate(&result, "online-budget-freeze", os.str());
-            }
-          }
-        }
-      } else {
-        // -- Epoch-synchronized sharded plane: ServeSchedule preassigns
-        // shard-local sequence numbers in global order, so the merged
-        // trace keeps the bitwise thread-count-determinism contract (and
-        // at one shard equals the unsharded trace bitwise).
-        result.serving_trace.resize(total);
-        std::vector<int> serve_failures(total, 0);
-        std::vector<uint8_t> serve_degraded(total, 0);
-        std::vector<double> serve_backoff(total, 0.0);
-        std::vector<double> shard_epoch_regret(shards, 0.0);
-        std::vector<double> regret_before(shards, 0.0);
-        auto run_epochs = [&](int first, int last) {
-          for (int epoch = first; epoch < last;
-               epoch += online.publish_every) {
-            const int end = std::min(last, epoch + online.publish_every);
-            for (int i = 0; i < shards; ++i) {
-              regret_before[i] = tier.shard_engine(i).regret_spent();
-            }
-            tier.ServeSchedule(
-                epoch, end, threads,
-                [&](int q, int chosen, uint64_t seq) {
-                  const ResolvedServing served = ResolveServingFaults(
-                      *backend, config.faults, config.max_retries,
-                      config.retry_backoff_seconds, q, chosen, seq);
-                  if (seq < static_cast<uint64_t>(total)) {
-                    serve_failures[seq] = served.failures;
-                    serve_degraded[seq] = served.degraded ? 1 : 0;
-                    serve_backoff[seq] = served.backoff_seconds;
-                  }
-                  core::ServedOutcome out;
-                  out.hint = served.hint;
-                  out.degraded = served.degraded;
-                  out.latency = backend->ServeLatency(q, served.hint, seq);
-                  return out;
-                },
-                [&](uint64_t seq, int q, int hint, double latency) {
-                  if (seq < static_cast<uint64_t>(total)) {
-                    result.serving_trace[seq] =
-                        ServingRecord{q, hint, latency};
-                  }
-                });
-            for (int i = 0; i < shards; ++i) {
-              shard_epoch_regret[i] = std::max(
-                  shard_epoch_regret[i],
-                  tier.shard_engine(i).regret_spent() - regret_before[i]);
-            }
-          }
-        };
-        run_epochs(0, total);
-        for (int s = 0; s < total; ++s) {
-          result.fault_serve_failures += serve_failures[s];
-          if (serve_degraded[s]) ++result.fault_serve_fallbacks;
-          result.fault_backoff_seconds += serve_backoff[s];
-        }
-        // Each shard's slice can be overshot by one epoch of its own
-        // exploratory regret, so the fleet allowance is the sum.
-        regret_allowance = 0.0;
-        for (int i = 0; i < shards; ++i) {
-          regret_allowance += shard_epoch_regret[i];
-        }
-        allowance_kind = "one epoch per shard";
-
-        result.servings = total;
-        result.explorations = tier.explorations();
-        result.regret_spent = tier.regret_spent();
-        // Capture the merged reassembly before the freeze probe below adds
-        // diagnostic traffic (the bare modes record final_latency at the
-        // same point).
-        sharded_final = tier.MergedMatrix();
-        result.final_latency = sharded_final->CurrentWorkloadLatency();
-
-        // Per-shard freeze: any shard whose slice is exhausted must stay
-        // frozen through further epochs (the other shards may keep
-        // exploring their own slices).
-        std::vector<uint8_t> exhausted(shards, 0);
-        std::vector<int> frozen(shards, 0);
-        bool any_exhausted = false;
-        for (int i = 0; i < shards; ++i) {
-          exhausted[i] = tier.shard_engine(i).budget_exhausted() ? 1 : 0;
-          frozen[i] = tier.shard_engine(i).explorations();
-          any_exhausted |= exhausted[i] != 0;
-        }
-        if (any_exhausted) {
-          run_epochs(total, total + 50);
-          for (int i = 0; i < shards; ++i) {
-            if (!exhausted[i]) continue;
-            if (tier.shard_engine(i).explorations() != frozen[i]) {
-              std::ostringstream os;
-              os << "shard " << i << ": "
-                 << tier.shard_engine(i).explorations() - frozen[i]
-                 << " explorations after slice exhaustion";
-              Violate(&result, "online-budget-freeze", os.str());
-            }
-          }
-        }
-      }
-
-    } else if (config.serve_threads <= 0) {
-      // -- Synchronous path: one thread acting as both planes. ----------
-      core::OnlineExplorationOptimizer optimizer(&engine, online);
-      double max_served = 0.0;
-      for (int s = 0; s < spec_.online_servings; ++s) {
-        const int q = s % spec_.num_queries;
-        const int hint = optimizer.ChooseHint(q);
-        const core::BackendResult r =
-            backend->Execute(q, hint, /*timeout_seconds=*/0.0);
-        if (r.failed) {
-          // Graceful degradation, synchronous flavor: the chosen plan's
-          // execution kept failing, so this serving answers with the
-          // default hint instead. The fallback bypasses the optimizer —
-          // it is an infrastructure fault, not an exploration decision —
-          // and is reported non-exploratory with zero regret, so the
-          // ledger and the gate/freeze invariants never see fault cost.
-          const core::BackendResult fb =
-              ExecuteDefaultFallback(backend.get(), q);
-          ++result.fault_serve_fallbacks;
-          max_served = std::max(max_served, fb.observed_latency);
-          engine.ObserveServing(q, 0, fb.observed_latency,
-                                /*exploratory=*/false, /*regret_delta=*/0.0);
-          continue;
-        }
-        max_served = std::max(max_served, r.observed_latency);
-        optimizer.ReportLatency(q, hint, r.observed_latency);
-      }
-      regret_allowance = max_served;
-
-      // Record the run's metrics before any diagnostic traffic below so
-      // the freeze probes don't contaminate the reported numbers.
-      result.servings = optimizer.servings();
-      result.explorations = optimizer.explorations();
-      result.regret_spent = optimizer.regret_spent();
-      result.final_latency = explorer.matrix().CurrentWorkloadLatency();
-
-      // An exhausted budget must freeze exploration for good.
-      if (optimizer.budget_exhausted()) {
-        const int frozen = optimizer.explorations();
-        for (int s = 0; s < 50; ++s) {
-          const int q = s % spec_.num_queries;
-          const int hint = optimizer.ChooseHint(q);
-          const core::BackendResult r = backend->Execute(q, hint, 0.0);
-          if (r.failed) continue;  // a dropped probe can't unfreeze anything
-          optimizer.ReportLatency(q, hint, r.observed_latency);
-        }
-        if (optimizer.explorations() != frozen) {
-          std::ostringstream os;
-          os << optimizer.explorations() - frozen
-             << " explorations after budget exhaustion";
-          Violate(&result, "online-budget-freeze", os.str());
-        }
-      }
-    } else if (config.free_running) {
-      // -- Free-running serving plane: a real background train thread
-      // against serve_threads free-running serving threads — the
-      // deployment shape. Which snapshot a serving sees depends on
-      // timing, so the invariants checked below are statistical (hard
-      // staleness bound, gate correctness, slack-bounded regret, ledger
-      // consistency) rather than bitwise.
-      engine.ConfigureServing(online);
-      engine.RefreshPredictions(/*force=*/true);
-      engine.Publish();
-
-      const int total = spec_.online_servings;
-      const int threads = config.serve_threads;
-      const int n = spec_.num_queries;
-      // Everything the replay checks need, written once per seq by the
-      // serving thread that owned it (no locking required).
-      struct FreeRecord {
-        int query = 0;
-        int hint = 0;
-        double latency = 0.0;
-        bool exploratory = false;
-        double regret_delta = 0.0;
-        uint64_t snapshot_seq = 0;  // published_seq of the deciding snapshot
-        int serve_failures = 0;     // faulted attempts before this serving
-        bool degraded = false;      // fell back to the default hint
-        double backoff_seconds = 0.0;  // seeded retry backoff accounted
-      };
-      std::vector<FreeRecord> records(total);
-
-      engine.StartTraining();
-      std::vector<std::thread> servers;
-      servers.reserve(threads);
-      for (int t = 0; t < threads; ++t) {
-        servers.emplace_back([&] {
-          std::shared_ptr<const core::ServingSnapshot> snap =
-              engine.snapshot();
-          uint64_t version = snap->version();
-          // Each thread claims kDecisionBatch consecutive indices per
-          // atomic RMW and decides them with one batched ChooseHints call
-          // (decision-identical to per-index scalar calls) — the version
-          // probe, snapshot pin, and index acquisition are amortized
-          // across the batch. Indices claimed at or past `total` are
-          // simply never reported: nothing below them is left unreported,
-          // so the drain cleanly stops at the `total` front.
-          constexpr size_t kDecisionBatch = 16;
-          std::array<int, kDecisionBatch> queries;
-          std::array<int, kDecisionBatch> hints;
-          for (;;) {
-            const uint64_t first = engine.AcquireServingIndices(
-                static_cast<uint64_t>(kDecisionBatch));
-            if (first >= static_cast<uint64_t>(total)) break;
-            const size_t cnt = static_cast<size_t>(std::min<uint64_t>(
-                kDecisionBatch, static_cast<uint64_t>(total) - first));
-            // Steady-state read path: one relaxed version probe per batch;
-            // the pointer handoff only happens on an actual publication.
-            if (engine.snapshot_version() != version) {
-              snap = engine.snapshot();
-              version = snap->version();
-            }
-            for (size_t i = 0; i < cnt; ++i) {
-              queries[i] =
-                  static_cast<int>((first + static_cast<uint64_t>(i)) % n);
-            }
-            snap->ChooseHints(std::span<const int>(queries.data(), cnt),
-                              first, std::span<int>(hints.data(), cnt));
-            for (size_t i = 0; i < cnt; ++i) {
-              const uint64_t seq = first + static_cast<uint64_t>(i);
-              const int q = queries[i];
-              const ResolvedServing served = ResolveServingFaults(
-                  *backend, config.faults, config.max_retries,
-                  config.retry_backoff_seconds, q, hints[i], seq);
-              const double latency =
-                  backend->ServeLatency(q, served.hint, seq);
-              core::ServingObservation obs =
-                  snap->MakeObservation(seq, q, served.hint, latency);
-              if (served.degraded) {
-                // A degraded fallback is fault cost, not an exploration
-                // decision: it must neither charge the ledger nor look
-                // like a budgeted probe to the free-gate/freeze
-                // invariants.
-                obs.exploratory = false;
-                obs.regret_delta = 0.0;
-              }
-              records[seq] = {q,
-                              served.hint,
-                              latency,
-                              obs.exploratory,
-                              obs.regret_delta,
-                              snap->published_seq(),
-                              served.failures,
-                              served.degraded,
-                              served.backoff_seconds};
-              engine.Report(obs);
-            }
-          }
-        });
-      }
-      for (std::thread& t : servers) t.join();
-      engine.StopTraining();  // final drain + publish
-
-      result.servings = total;
-      result.explorations = engine.explorations();
-      result.regret_spent = engine.regret_spent();
-      result.final_latency = explorer.matrix().CurrentWorkloadLatency();
-
-      // ---- Replay checks (seq order). prefix[s] is the regret drained
-      // before serving s — bitwise the ledger any snapshot published at
-      // drain front s froze, because the drain applies deltas in the same
-      // order with the same additions.
-      std::vector<double> prefix(static_cast<size_t>(total) + 1, 0.0);
-      for (int s = 0; s < total; ++s) {
-        prefix[s + 1] = prefix[s] + records[s].regret_delta;
-        // Fault accounting, summed in sequence order so the reported
-        // numbers are deterministic despite the timing-dependent run.
-        result.fault_serve_failures += records[s].serve_failures;
-        if (records[s].degraded) ++result.fault_serve_fallbacks;
-        result.fault_backoff_seconds += records[s].backoff_seconds;
-      }
-      if (std::abs(prefix[total] - result.regret_spent) > 1e-9) {
-        std::ostringstream os;
-        os << "drained ledger " << result.regret_spent
-           << "s != replayed per-serving deltas " << prefix[total] << "s";
-        Violate(&result, "free-ledger-consistency", os.str());
-      }
-      // Gate correctness + the explicit slack term: every exploration's
-      // deciding snapshot must have been under budget, and the total
-      // regret can exceed the budget only by what some single decision
-      // could not yet see (its in-flight window).
-      double max_inflight = 0.0;
-      for (int s = 0; s < total; ++s) {
-        if (!records[s].exploratory) continue;
-        const uint64_t p = records[s].snapshot_seq;
-        if (p > static_cast<uint64_t>(total)) {
-          std::ostringstream os;
-          os << "serving " << s << " decided on snapshot seq " << p
-             << " beyond the " << total << " servings";
-          Violate(&result, "free-gate", os.str());
-          continue;
-        }
-        if (prefix[p] >= online.regret_budget_seconds) {
-          std::ostringstream os;
-          os << "serving " << s << " (query " << records[s].query << ", hint "
-             << records[s].hint << ", " << records[s].latency
-             << "s) explored on a snapshot whose ledger (" << prefix[p]
-             << "s) already exhausted the budget ("
-             << online.regret_budget_seconds << "s)";
-          Violate(&result, "free-gate", os.str());
-        }
-        max_inflight = std::max(max_inflight, prefix[s + 1] - prefix[p]);
-      }
-      regret_allowance = max_inflight;
-      allowance_kind = "max in-flight window";
-      result.regret_slack = std::max(
-          0.0, result.regret_spent - online.regret_budget_seconds);
-
-      // Staleness percentiles and the hard bound: a producer of serving s
-      // blocks until the drain passes s - capacity, the train loop's
-      // publications lag the drain front by < capacity + publish_every
-      // (capacity-capped batches, publish at >= publish_every lag), and at
-      // most threads * kDecisionBatch acquired indices are unreported at
-      // any instant (each serving thread decides a whole claimed batch on
-      // the snapshot it probed at batch start).
-      constexpr uint64_t kStalenessBatch = 16;  // == kDecisionBatch above
-      std::vector<uint64_t> staleness(total);
-      for (int s = 0; s < total; ++s) {
-        const uint64_t p = records[s].snapshot_seq;
-        staleness[s] = static_cast<uint64_t>(s) > p
-                           ? static_cast<uint64_t>(s) - p
-                           : 0;
-      }
-      std::sort(staleness.begin(), staleness.end());
-      result.staleness_p50 = static_cast<double>(staleness[total / 2]);
-      result.staleness_p95 =
-          static_cast<double>(staleness[(95 * (total - 1)) / 100]);
-      result.staleness_max = static_cast<double>(staleness.back());
-      const uint64_t staleness_bound =
-          2 * engine.queue_capacity() +
-          static_cast<uint64_t>(threads) * kStalenessBatch +
-          static_cast<uint64_t>(online.publish_every);
-      if (staleness.back() > staleness_bound) {
-        std::ostringstream os;
-        os << "max snapshot staleness " << staleness.back()
-           << " servings exceeds 2*capacity (" << 2 * engine.queue_capacity()
-           << ") + threads*batch (" << threads << "*" << kStalenessBatch
-           << ") + publish_every (" << online.publish_every << ")";
-        Violate(&result, "free-staleness", os.str());
-      }
-
-      // Eventual freeze: once the exhausted ledger is published (the
-      // final StopTraining publish at the latest), no serving may explore
-      // again. Probe with schedule-assigned sequence numbers so the queue
-      // stays contiguous past the threads' unreported overshoot indices.
-      if (engine.budget_exhausted()) {
-        const int frozen = engine.explorations();
-        std::shared_ptr<const core::ServingSnapshot> snap =
-            engine.snapshot();
-        for (int i = 0; i < 50; ++i) {
-          const uint64_t seq = static_cast<uint64_t>(total) + i;
-          const int q = static_cast<int>(seq % n);
-          const int hint = snap->ChooseHint(q, seq);
-          const double latency = backend->ServeLatency(q, hint, seq);
-          engine.Report(snap->MakeObservation(seq, q, hint, latency));
-        }
-        engine.SyncEpoch();
-        if (engine.explorations() != frozen) {
-          std::ostringstream os;
-          os << engine.explorations() - frozen
-             << " explorations after budget exhaustion";
-          Violate(&result, "online-budget-freeze", os.str());
-        }
-      }
-    } else {
-      // -- Concurrent serving plane: serve_threads threads over shared
-      // snapshots, epoch-synchronized with the train plane. Decisions are
-      // pure functions of (snapshot, serving index) and observations
-      // drain in serving order, so the merged trace is bitwise identical
-      // at every thread count. Epochs are publish_every servings long;
-      // the engine refits on its own refresh_every cadence inside the
-      // epoch barrier, so the publications between refits are deltas.
-      engine.ConfigureServing(online);
-      engine.RefreshPredictions(/*force=*/true);
-      engine.Publish();
-
-      const int total = spec_.online_servings;
-      const int threads = config.serve_threads;
-      result.serving_trace.resize(total);
-      // Per-seq fault accounting, written by the serving thread that owns
-      // the index and summed in sequence order afterwards — so the fault
-      // numbers are as bitwise-deterministic as the trace itself.
-      std::vector<int> serve_failures(total, 0);
-      std::vector<uint8_t> serve_degraded(total, 0);
-      std::vector<double> serve_backoff(total, 0.0);
-      double max_epoch_regret = 0.0;
-      auto run_epochs = [&](int first, int last) {
-        for (int epoch = first; epoch < last;
-             epoch += online.publish_every) {
-          const int end = std::min(last, epoch + online.publish_every);
-          const double regret_before = engine.regret_spent();
-          engine.ServeEpochResolved(
-              epoch, end, threads,
-              [&](int q, int chosen, uint64_t seq) {
-                const ResolvedServing served = ResolveServingFaults(
-                    *backend, config.faults, config.max_retries,
-                    config.retry_backoff_seconds, q, chosen, seq);
-                if (seq < static_cast<uint64_t>(total)) {
-                  serve_failures[seq] = served.failures;
-                  serve_degraded[seq] = served.degraded ? 1 : 0;
-                  serve_backoff[seq] = served.backoff_seconds;
-                }
-                core::ServedOutcome out;
-                out.hint = served.hint;
-                out.degraded = served.degraded;
-                out.latency = backend->ServeLatency(q, served.hint, seq);
-                return out;
-              },
-              [&](uint64_t seq, int q, int hint, double latency) {
-                if (seq < static_cast<uint64_t>(total)) {
-                  result.serving_trace[seq] = ServingRecord{q, hint, latency};
-                }
-              });
-          max_epoch_regret = std::max(
-              max_epoch_regret, engine.regret_spent() - regret_before);
-        }
-      };
-      run_epochs(0, total);
-      for (int s = 0; s < total; ++s) {
-        result.fault_serve_failures += serve_failures[s];
-        if (serve_degraded[s]) ++result.fault_serve_fallbacks;
-        result.fault_backoff_seconds += serve_backoff[s];
-      }
-      regret_allowance = max_epoch_regret;
-      allowance_kind = "one epoch";
-
-      result.servings = total;
-      result.explorations = engine.explorations();
-      result.regret_spent = engine.regret_spent();
-      result.final_latency = explorer.matrix().CurrentWorkloadLatency();
-
-      // An exhausted budget must freeze exploration for good: once a
-      // published snapshot carries regret >= budget, no later epoch may
-      // explore.
-      if (engine.budget_exhausted()) {
-        const int frozen = engine.explorations();
-        run_epochs(total, total + 50);
-        if (engine.explorations() != frozen) {
-          std::ostringstream os;
-          os << engine.explorations() - frozen
-             << " explorations after budget exhaustion";
-          Violate(&result, "online-budget-freeze", os.str());
-        }
-      }
-    }
-
-    // Regret is checked before a serving against state that may lag by up
-    // to the mode's allowance: one serving (synchronous, live ledger) or
-    // one epoch of exploratory regret (concurrent, frozen ledger).
-    if (result.regret_spent >
-        online.regret_budget_seconds + regret_allowance + 1e-9) {
-      std::ostringstream os;
-      os << result.regret_spent << "s regret vs budget "
-         << online.regret_budget_seconds << "s + " << allowance_kind << " ("
-         << regret_allowance << "s)";
-      Violate(&result, "online-regret-budget", os.str());
-    }
-    // Exploration is gated by one Bernoulli(epsilon) per serving: the count
-    // is stochastically dominated by Binomial(servings, epsilon). A 4-sigma
-    // band never flakes with deterministic seeds.
-    const double n = static_cast<double>(result.servings);
-    const double cap = n * spec_.epsilon +
-                       4.0 * std::sqrt(n * spec_.epsilon *
-                                       (1.0 - spec_.epsilon)) +
-                       2.0;
-    if (result.explorations > cap) {
-      std::ostringstream os;
-      os << result.explorations << " explorations in " << result.servings
-         << " servings exceeds epsilon cap " << cap;
-      Violate(&result, "online-epsilon-cap", os.str());
-    }
-    if (spec_.epsilon == 0.0 && result.explorations != 0) {
-      Violate(&result, "online-epsilon-cap",
-              "explorations with epsilon = 0");
-    }
-
-    if (sharded_final) {
-      // Sharded runs serve from the tier's per-shard matrices; the merged
-      // reassembly is the ground truth the fleet actually observed.
-      CheckMatrixConsistency(*sharded_final, &result);
-      CheckNoRegression(*sharded_final, OnlineServedHints(*sharded_final),
-                        "online-serving", &result);
-    } else {
-      CheckMatrixConsistency(explorer.matrix(), &result);
-      CheckNoRegression(explorer.matrix(), explorer.BestHints(), "online",
-                        &result);
-      CheckNoRegression(explorer.matrix(),
-                        OnlineServedHints(explorer.matrix()),
-                        "online-serving", &result);
-    }
-  } else {
-    result.final_latency = explorer.matrix().CurrentWorkloadLatency();
-  }
-
-  if (fault_injector != nullptr) {
-    result.fault_exec_failures = fault_injector->exec_failures();
-    result.fault_exec_retries = fault_injector->exec_retries();
-    result.fault_exec_exhausted = fault_injector->exec_exhausted();
-    result.fault_backoff_seconds += fault_injector->backoff_seconds();
-    // No-double-charge: every Execute call the decorator dropped must have
-    // been dropped whole by its caller too — the explorer's failed-call
-    // count can never exceed what the backend actually refused (serving
-    // fallbacks and free-observation retries consume the rest).
-    if (explorer.num_failed_executions() > fault_injector->exec_exhausted()) {
-      std::ostringstream os;
-      os << "explorer dropped " << explorer.num_failed_executions()
-         << " executions but the backend only refused "
-         << fault_injector->exec_exhausted();
-      Violate(&result, "fault-accounting", os.str());
-    }
-  }
+  World world = BuildWorld(spec_, config, &result);
+  RunOffline(spec_, &world, &result);
+  RunOnline(spec_, config, &world, &result);
+  CheckFaultAccounting(world, &result);
   return result;
 }
 

@@ -92,31 +92,24 @@ struct RunConfig {
   /// TCNN hyper-parameters for the neural arms (seed is overridden from
   /// the scenario seed per phase).
   nn::TcnnOptions tcnn = ScenarioTcnnOptions();
-  /// Serving threads for the online phase. 0 (default) runs the legacy
+  /// Serving threads for the online phase. 0 (default) runs the
   /// synchronous path — one thread acting as both planes through
   /// OnlineExplorationOptimizer, with the live (per-serving) regret
-  /// check. >= 1 runs the concurrent serving plane: that many serving
-  /// threads decide hints on shared ServingSnapshots over a deterministic
-  /// schedule, in epochs of publish_every servings, with the engine
-  /// draining/refitting-on-cadence/republishing at each epoch boundary.
-  /// The merged serving trace is bitwise identical at every
-  /// serve_threads >= 1.
+  /// check. >= 1 runs the concurrent serving plane; unless free_running,
+  /// through a ShardedServingTier of max(1, shards) engines: that many
+  /// serving threads decide hints on shared ServingSnapshots over a
+  /// deterministic schedule, in epochs of publish_every servings, with
+  /// every shard draining/refitting-on-cadence/republishing at each epoch
+  /// boundary.
   int serve_threads = 0;
-  /// Free-running online mode (requires serve_threads >= 1): the actual
-  /// deployment shape — a background train thread
-  /// (StartTraining/StopTraining) drains, refits, and republishes while
-  /// the serving threads free-run against whatever snapshot is current.
-  /// Timing decides which snapshot each serving sees, so the bitwise
-  /// trace contract does not apply; the driver instead checks
-  /// *statistical* invariants: a hard snapshot-staleness bound
-  /// (2 * queue capacity + serve_threads * decision batch +
-  /// publish_every — serving threads claim indices and decide them in
-  /// batches of 16 via ServingSnapshot::ChooseHints), gate
-  /// correctness (no exploration ever decided on an exhausted published
-  /// ledger), regret bounded by the budget plus an explicit in-flight
-  /// slack term, the binomial epsilon cap, and eventual
-  /// freeze-after-exhaustion. The epoch-synchronized mode
-  /// (free_running = false) keeps its bitwise-determinism contract.
+  /// Free-running online mode (requires serve_threads >= 1): the
+  /// deployment shape — background training drains, refits, and
+  /// republishes while the serving threads free-run against whatever
+  /// snapshot is current. Timing decides which snapshot each serving
+  /// sees, so instead of the bitwise trace contract the driver checks the
+  /// statistical invariants listed on SimulationDriver. With shards = 0
+  /// the offline engine serves with its own train thread; with
+  /// shards >= 1 the tier does.
   bool free_running = false;
   /// Forces every snapshot publication to a full O(n*k) rebuild instead of
   /// the default base+delta protocol. Exists for the delta/full
@@ -144,31 +137,14 @@ struct RunConfig {
   /// never slept, and never charged to the offline clock or the regret
   /// ledger — the no-double-charge invariant for transient faults.
   double retry_backoff_seconds = 0.05;
-  /// Shard the online serving phase across this many ExplorationEngines
-  /// behind a ShardedServingTier (src/core/shard_router.h). 0 (default)
-  /// serves from the single offline engine (the legacy paths above);
-  /// >= 1 routes every serving through the tier's deterministic
-  /// row->shard partition, with the fleet regret budget split into
-  /// row-count-proportional per-shard slices. Requires serve_threads >= 1
-  /// and arm == kCompleter (per-shard matrices need a per-shard
-  /// completion model). In the epoch-synchronized mode the merged trace
-  /// keeps the bitwise thread-count-determinism contract, and at
-  /// shards == 1 it is bitwise identical to the unsharded trace
-  /// (tests/shard_router_test.cc); in the free-running mode the
-  /// statistical invariants are checked per shard (local staleness
-  /// bounds, slice-gated exploration, per-shard freeze) plus fleet-wide
-  /// (summed ledger vs fleet budget with summed slack, a composed
-  /// global-index staleness bound, the binomial epsilon cap).
+  /// Engines of the ShardedServingTier (src/core/shard_router.h) the
+  /// concurrent online phase serves through: rows route by the tier's
+  /// deterministic partition, and the fleet regret budget splits into
+  /// row-count-proportional per-shard slices. The epoch mode uses
+  /// max(1, shards); the free-running mode serves from the offline engine
+  /// at 0. More than one shard requires arm == kCompleter (per-shard
+  /// matrices need a per-shard completion model).
   int shards = 0;
-  /// Drive the sharded tier's train plane through the shared TrainExecutor
-  /// (src/core/train_executor.h) instead of one train thread per shard:
-  /// free-running mode runs the executor's worker pool, the
-  /// epoch-synchronized mode its prioritized SyncEpochAll barrier. Only
-  /// meaningful when shards >= 1. The merged trace and every invariant are
-  /// unchanged — the executor is bitwise-neutral on the epoch path and
-  /// timing-equivalent on the free-running path
-  /// (tests/train_executor_test.cc pins both).
-  bool shared_train_plane = false;
 };
 
 /// One serving of the concurrent serving plane, recorded at its global
@@ -214,8 +190,8 @@ struct SimulationResult {
   int explorations = 0;           ///< exploratory servings
   double regret_spent = 0.0;      ///< cumulative regret charged (seconds)
   /// Per-serving record of the online phase (filled only by the
-  /// epoch-synchronized concurrent mode, serve_threads >= 1 and not
-  /// free_running), indexed by serving sequence number — the bitwise
+  /// epoch-synchronized mode, serve_threads >= 1 and not free_running),
+  /// indexed by serving sequence number — the bitwise
   /// determinism artifact. Free-running runs are timing-dependent by
   /// design and record the statistical fields below instead.
   std::vector<ServingRecord> serving_trace;
@@ -279,23 +255,23 @@ struct SimulationResult {
 ///    observed (all other cells unobserved);
 ///  * online bounds: cumulative regret <= regret_budget_seconds plus one
 ///    serving's overshoot (synchronous mode) or one epoch's exploratory
-///    regret (concurrent mode, where the gate reads the snapshot's frozen
-///    ledger), exploration count stays under its binomial epsilon cap, and
-///    an exhausted budget freezes exploration;
+///    regret per shard (epoch mode, where the gate reads the snapshot's
+///    frozen ledger), exploration count stays under its binomial epsilon
+///    cap, and an exhausted budget freezes exploration;
 ///  * serving determinism (epoch-synchronized concurrent mode): the merged
 ///    serving trace is a pure function of (spec, config) — bitwise
 ///    identical at every serve_threads — because each decision depends
 ///    only on the epoch's snapshot and its serving index, and
 ///    observations are drained in serving order;
-///  * free-running statistics (free_running mode): snapshot staleness is
-///    hard-bounded by 2 * queue capacity + serve_threads * decision batch
-///    + publish_every (threads decide batches of 16 indices per snapshot
-///    probe),
-///    no exploration is ever decided on a published ledger at/over budget,
-///    total regret stays within budget plus the largest in-flight window
-///    any decision could not see, the drained ledger reproduces the
-///    per-serving regret deltas exactly, and exploration freezes for good
-///    once an exhausted ledger is published;
+///  * free-running statistics (free_running mode), per serving engine:
+///    snapshot staleness is hard-bounded by 2 * queue capacity +
+///    serve_threads * decision batch (16) + publish_every, no exploration
+///    is ever decided on a published ledger at/over its budget slice, the
+///    drained ledger reproduces the per-serving regret deltas exactly, and
+///    exploration freezes for good once an exhausted ledger is published;
+///    fleet-wide, total regret stays within budget plus the summed
+///    in-flight windows no decision could see, and a tier's global-index
+///    staleness obeys the composed bound of src/core/shard_router.h;
 ///  * fault tolerance (RunConfig::faults): under any seed-pure fault world
 ///    every invariant above still holds — failed executions are dropped
 ///    whole (no offline charge, no observation), failed servings retry and
@@ -308,8 +284,8 @@ class SimulationDriver {
   explicit SimulationDriver(const ScenarioSpec& spec) : spec_(spec) {}
 
   /// Builds a fresh world and runs the full scenario under `config`.
-  /// Deterministic: equal (spec, config) pairs produce equal results,
-  /// bitwise, regardless of thread count.
+  /// Deterministic outside free_running: equal (spec, config) pairs
+  /// produce equal results, bitwise, regardless of thread count.
   SimulationResult Run(const RunConfig& config);
 
   /// Legacy shorthand: model configuration only, synthetic world.

@@ -99,6 +99,29 @@ TEST(ConcurrentServingTest, TraceIndependentOfLinalgThreads) {
   EXPECT_EQ(a.regret_spent, b.regret_spent);
 }
 
+// The epoch mode serves through a 1-shard tier, where shard-local rows are
+// the global ones, so the plan-featurizing neural arms serve there too,
+// with the same thread-count-independent trace.
+TEST(ConcurrentServingTest, NeuralArmsServeThroughOneShardTier) {
+  const ScenarioSpec spec = GridWorld("baseline");
+  for (PredictorArm arm : {PredictorArm::kTcnn, PredictorArm::kLimeQoPlus}) {
+    RunConfig config;
+    config.arm = arm;
+    config.world = WorldKind::kSimDb;
+    config.serve_threads = 1;
+    const SimulationResult single = SimulationDriver(spec).Run(config);
+    config.serve_threads = 3;
+    const SimulationResult multi = SimulationDriver(spec).Run(config);
+    ASSERT_TRUE(single.ok()) << single.Summary();
+    ASSERT_TRUE(multi.ok()) << multi.Summary();
+    EXPECT_EQ(static_cast<int>(single.serving_trace.size()),
+              spec.online_servings);
+    EXPECT_TRUE(single.serving_trace == multi.serving_trace)
+        << PredictorArmName(arm);
+    EXPECT_EQ(single.regret_spent, multi.regret_spent);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Invariants: the concurrent mode must preserve everything the driver
 // checks — across the whole grid and all policies (run at 2 threads).

@@ -1,13 +1,14 @@
 // Sharded serving tier: N ExplorationEngine shards behind the deterministic
 // router of src/core/shard_router.h. The pinning contract is differential:
-// a 1-shard tier must serve a trace bitwise identical to the bare engine
-// over the full scenario grid and every policy, K-shard tiers must satisfy
-// every SimulationDriver invariant at 2 and 4 shards under 1/2/4 serving
-// threads with a thread-count-independent merged trace, and per-shard
-// checkpoints must reassemble into a fleet whose remaining trace equals the
-// fleet that never died. Part of the CI ThreadSanitizer target
+// a 1-shard tier's ServeSchedule must serve a trace, ledger and matrix
+// bitwise identical to the bare engine's ServeEpochResolved, K-shard tiers
+// must satisfy every SimulationDriver invariant at 1, 2 and 4 shards under
+// 1/2/4 serving threads with a thread-count-independent merged trace, and
+// per-shard checkpoints must reassemble into a fleet whose remaining trace
+// equals the fleet that never died. Part of the CI ThreadSanitizer target
 // (`ctest -R "...|shard_router_test"`).
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdint>
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/als.h"
 #include "core/engine.h"
 #include "core/predictor.h"
@@ -71,45 +73,15 @@ SimulationResult RunSharded(const ScenarioSpec& spec, int shards, int threads,
 }
 
 // ---------------------------------------------------------------------------
-// The headline differential: a 1-shard tier is the bare engine, bitwise —
-// full grid, all three policies.
-// ---------------------------------------------------------------------------
-
-TEST(ShardEquivalenceTest, OneShardTierMatchesBareEngineBitwise) {
-  for (const ScenarioSpec& spec : ScenarioGrid()) {
-    for (PolicyKind policy :
-         {PolicyKind::kRandom, PolicyKind::kGreedy, PolicyKind::kModelGuided}) {
-      const SimulationResult bare = RunSharded(spec, /*shards=*/0,
-                                               /*threads=*/1, policy);
-      const SimulationResult tier = RunSharded(spec, /*shards=*/1,
-                                               /*threads=*/1, policy);
-      ASSERT_TRUE(bare.ok()) << "spec {" << Describe(spec) << "} policy "
-                             << PolicyKindName(policy) << "\n"
-                             << bare.Summary();
-      ASSERT_TRUE(tier.ok()) << "spec {" << Describe(spec) << "} policy "
-                             << PolicyKindName(policy) << "\n"
-                             << tier.Summary();
-      ASSERT_TRUE(TracesIdentical(bare, tier))
-          << "spec {" << Describe(spec) << "} policy "
-          << PolicyKindName(policy);
-      EXPECT_EQ(bare.final_latency, tier.final_latency);
-      EXPECT_EQ(bare.regret_spent, tier.regret_spent);
-      EXPECT_EQ(bare.explorations, tier.explorations);
-      EXPECT_EQ(bare.servings, tier.servings);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // K-shard tiers: the merged trace is independent of serving thread count,
-// and every driver invariant holds at K in {2, 4} x threads in {1, 2, 4}.
+// and every driver invariant holds at K in {1, 2, 4} x threads in {1, 2, 4}.
 // ---------------------------------------------------------------------------
 
 class ShardedTraceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ShardedTraceTest, MergedTraceIndependentOfThreadCount) {
   const ScenarioSpec spec = GridWorld(GetParam());
-  for (int shards : {2, 4}) {
+  for (int shards : {1, 2, 4}) {
     const SimulationResult single = RunSharded(spec, shards, 1);
     ASSERT_TRUE(single.ok())
         << shards << " shards, 1 thread: " << single.Summary();
@@ -280,6 +252,117 @@ struct TierFixture {
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+// ---------------------------------------------------------------------------
+// The headline differential: a 1-shard tier's ServeSchedule is the bare
+// engine's ServeEpochResolved, bitwise — same matrix, same predictor
+// configuration, same serving options, at 1 and 4 serving threads, with
+// degraded servings in the mix. Traces, ledgers (fleet and per row),
+// exploration counts and the final matrices must all agree.
+// ---------------------------------------------------------------------------
+
+TEST(ShardEquivalenceTest, OneShardTierMatchesEngineEpochsBitwise) {
+  int explored = 0;
+  for (const std::string name :
+       {"baseline", "heavy-tail-extreme", "plan-equivalence",
+        "online-tight-budget"}) {
+    const ScenarioSpec spec = GridWorld(name);
+    const SyntheticBackend backend(spec);
+    // A partially explored matrix: every default plus a seed-pure third of
+    // the other cells, half of those censored at half their latency.
+    core::WorkloadMatrix matrix(spec.num_queries, spec.num_hints);
+    for (int q = 0; q < spec.num_queries; ++q) {
+      matrix.Observe(q, 0, backend.TrueLatency(q, 0));
+      for (int j = 1; j < spec.num_hints; ++j) {
+        const uint64_t roll = MixSeed(spec.seed, static_cast<uint64_t>(q),
+                                      static_cast<uint64_t>(j)) % 6;
+        if (roll == 0) matrix.Observe(q, j, backend.TrueLatency(q, j));
+        if (roll == 1) {
+          matrix.ObserveCensored(q, j, 0.5 * backend.TrueLatency(q, j));
+        }
+      }
+    }
+    // Epsilon at least 0.25: at the grid's own epsilons too few servings
+    // explore for a refit to change any pick.
+    core::OnlineExplorationOptions online;
+    online.epsilon = std::max(spec.epsilon, 0.25);
+    online.min_predicted_ratio = spec.min_predicted_ratio;
+    online.regret_budget_seconds = spec.online_regret_budget_seconds;
+    online.seed = MixSeed(spec.seed, 0x534Fu);
+    auto make_predictor = [&] {
+      core::AlsOptions als;
+      als.seed = MixSeed(spec.seed, 0x4F4Eu);
+      return std::make_unique<core::CompleterPredictor>(
+          std::make_unique<core::AlsCompleter>(als));
+    };
+    // Every 23rd serving degrades to the default plan.
+    const auto resolve = [&](int q, int chosen, uint64_t seq) {
+      core::ServedOutcome out;
+      out.degraded = seq % 23 == 7 && chosen != 0;
+      out.hint = out.degraded ? 0 : chosen;
+      out.latency = backend.ServeLatency(q, out.hint, seq);
+      return out;
+    };
+    const uint64_t total = static_cast<uint64_t>(spec.online_servings);
+    const uint64_t epoch_len = static_cast<uint64_t>(online.publish_every);
+
+    for (const int threads : {1, 4}) {
+      const std::unique_ptr<core::Predictor> engine_pred = make_predictor();
+      core::EngineOptions engine_options;
+      engine_options.online = online;
+      core::ExplorationEngine engine(matrix, engine_pred.get(),
+                                     engine_options);
+      engine.RefreshPredictions(/*force=*/true);
+      engine.Publish();
+
+      const std::unique_ptr<core::Predictor> tier_pred = make_predictor();
+      core::ShardedTierOptions tier_options;
+      tier_options.num_shards = 1;
+      tier_options.online = online;
+      core::ShardedServingTier tier(matrix, {tier_pred.get()}, tier_options);
+      tier.RefreshAll(/*force=*/true);
+      tier.PublishAll();
+
+      std::vector<ServingRecord> engine_trace(total);
+      std::vector<ServingRecord> tier_trace(total);
+      for (uint64_t epoch = 0; epoch < total; epoch += epoch_len) {
+        const uint64_t end = std::min(total, epoch + epoch_len);
+        engine.ServeEpochResolved(
+            epoch, end, threads, resolve,
+            [&](uint64_t seq, int q, int hint, double latency) {
+              engine_trace[seq] = ServingRecord{q, hint, latency};
+            });
+        tier.ServeSchedule(
+            epoch, end, threads, resolve,
+            [&](uint64_t seq, int q, int hint, double latency) {
+              tier_trace[seq] = ServingRecord{q, hint, latency};
+            });
+      }
+      for (uint64_t s = 0; s < total; ++s) {
+        ASSERT_TRUE(engine_trace[s] == tier_trace[s])
+            << name << " serving " << s << " diverges at " << threads
+            << " threads: (" << engine_trace[s].query << ","
+            << engine_trace[s].hint << "," << engine_trace[s].latency
+            << ") vs (" << tier_trace[s].query << "," << tier_trace[s].hint
+            << "," << tier_trace[s].latency << ")";
+      }
+      EXPECT_EQ(engine.regret_spent(), tier.regret_spent()) << name;
+      EXPECT_EQ(engine.explorations(), tier.explorations()) << name;
+      explored += tier.explorations();
+      const core::ExplorationEngine& shard = tier.shard_engine(0);
+      for (int q = 0; q < spec.num_queries; ++q) {
+        ASSERT_EQ(tier.LocalRowOf(q), q) << name;
+        EXPECT_EQ(engine.row_regret(q), shard.row_regret(q)) << name;
+        EXPECT_EQ(engine.row_explorations(q), shard.row_explorations(q))
+            << name;
+      }
+      EXPECT_TRUE(MatricesIdentical(engine.matrix(), tier.MergedMatrix()))
+          << name << " at " << threads << " threads";
+    }
+  }
+  // The differential must cover exploratory servings, not only exploits.
+  EXPECT_GT(explored, 0);
 }
 
 std::string UniqueTierDir(const char* tag) {

@@ -309,24 +309,15 @@ int Run(const Args& args) {
       explorer.overhead_seconds());
 
   // ---- Online serving phase (the engine's concurrent serving plane) ----
-  if (args.serve > 0 && args.shards >= 1) {
-    // Sharded serving tier: N engines behind the deterministic router.
-    // Decisions stay keyed by global serving index, so at --shards=1 the
-    // tier serves the bare engine's trace bitwise.
+  if (args.serve > 0) {
     const int threads = std::max(1, args.serve_threads);
     core::AlsOptions als;
-    als.convergence_tol = 1e-3;
+    als.convergence_tol = 1e-3;  // warm-started refreshes stop early
     core::OnlineExplorationOptions online;
     online.epsilon = 0.1;
     online.min_predicted_ratio = 0.05;
     online.regret_budget_seconds = 0.02 * db->DefaultTotal();
     online.seed = args.seed;
-    core::ShardedTierOptions tier_options;
-    tier_options.num_shards = args.shards;
-    tier_options.online = online;
-    tier_options.shared_train_plane = args.shared_train;
-    tier_options.executor.workers = std::max(1, args.serve_threads);
-
     std::vector<std::unique_ptr<core::Predictor>> predictors;
     std::vector<core::Predictor*> predictor_ptrs;
     auto make_predictors = [&](int count) {
@@ -339,125 +330,61 @@ int Run(const Args& args) {
       }
     };
 
+    // Sharded serving tier: N engines behind the deterministic router.
+    // Decisions stay keyed by global serving index, so at --shards=1 the
+    // tier serves the bare engine's trace bitwise. Without --shards the
+    // explorer's own engine serves.
     std::unique_ptr<core::ShardedServingTier> tier;
-    if (!args.restore.empty()) {
-      // The tier manifest is authoritative for the shard count and the
-      // row->shard assignment; --shards only shapes a cold start.
-      make_predictors(args.shards);
-      StatusOr<std::unique_ptr<core::ShardedServingTier>> restored =
-          core::ShardedServingTier::RestoreFromDirectory(
-              args.restore, predictor_ptrs, tier_options);
-      if (restored.ok()) {
-        tier = std::move(*restored);
-        std::printf(
-            "fleet restart from %s: %d shards, %d rows, serving seq %llu, "
-            "regret spent %.2f s\n",
-            args.restore.c_str(), tier->num_shards(), tier->num_queries(),
-            static_cast<unsigned long long>(tier->scheduled_servings()),
-            tier->regret_spent());
-      } else {
-        std::fprintf(stderr,
-                     "tier checkpoints unusable (%s); starting cold\n",
-                     restored.status().ToString().c_str());
-      }
-    }
-    if (tier == nullptr) {
-      make_predictors(args.shards);
-      tier = std::make_unique<core::ShardedServingTier>(
-          explorer.matrix(), predictor_ptrs, tier_options);
-    }
-    tier->RefreshAll(/*force=*/true);
-    tier->PublishAll();
-
-    const double before_serving = explorer.WorkloadLatency();
-    const auto t0 = std::chrono::steady_clock::now();
-    const int epoch_len = online.refresh_every;
-    const uint64_t base = tier->scheduled_servings();
-    std::atomic<long> serve_failures{0};
-    std::atomic<long> serve_fallbacks{0};
-    const auto resolve = [&](int q, int chosen,
-                             uint64_t seq) -> core::ServedOutcome {
-      core::ServedOutcome out;
-      out.hint = chosen;
-      for (int attempt = 0;; ++attempt) {
-        if (!scenarios::FaultyBackend::AttemptFails(fault_spec, q, out.hint,
-                                                    seq, attempt)) {
-          break;
-        }
-        serve_failures.fetch_add(1, std::memory_order_relaxed);
-        if (attempt >= args.max_retries) {
-          out.hint = 0;
-          out.degraded = true;
-          serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
-      out.latency = db->TrueLatency(q, out.hint);
-      return out;
-    };
-    for (uint64_t epoch = base; epoch < base + args.serve;
-         epoch += epoch_len) {
-      const uint64_t end =
-          std::min<uint64_t>(base + args.serve, epoch + epoch_len);
-      tier->ServeSchedule(epoch, end, threads, resolve);
-      if (!args.checkpoint_dir.empty()) {
-        // Epoch boundaries are fleet-wide op boundaries: every shard's
-        // checkpoint and the tier manifest agree, so RestoreFromDirectory
-        // reassembles a fleet that continues bitwise
-        // (tests/shard_router_test.cc).
-        Status st = tier->SaveCheckpoints(args.checkpoint_dir);
-        if (!st.ok()) {
-          std::fprintf(stderr, "tier checkpoint failed: %s\n",
-                       st.ToString().c_str());
-          return 2;
-        }
-      }
-    }
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    // Fold the merged reassembly back into the explorer so the final
-    // latency report and --save reflect what the fleet observed.
-    explorer.LoadMatrix(tier->MergedMatrix());
-    std::printf(
-        "served %d queries across %d shard(s) on %d thread(s) in %.3f s "
-        "(%.0f servings/s)\n"
-        "  workload latency %.0f s -> %.0f s, explorations: %d, regret "
-        "spent: %.2f / %.2f s\n",
-        args.serve, tier->num_shards(), threads, wall,
-        args.serve / std::max(wall, 1e-9), before_serving,
-        explorer.WorkloadLatency(), tier->explorations(),
-        tier->regret_spent(), online.regret_budget_seconds);
-    if (fault_spec.any()) {
-      std::printf(
-          "  fault world '%s': %ld failed serving attempts, %ld degraded "
-          "to the default hint\n",
-          fault_spec.name.c_str(), serve_failures.load(),
-          serve_fallbacks.load());
-    }
-  } else if (args.serve > 0) {
-    const int threads = std::max(1, args.serve_threads);
-    core::AlsOptions als;
-    als.convergence_tol = 1e-3;  // warm-started refreshes stop early
-    core::CompleterPredictor predictor(
-        std::make_unique<core::AlsCompleter>(als));
     core::ExplorationEngine& engine = explorer.engine();
-    engine.SetPredictor(&predictor);
-    core::OnlineExplorationOptions online;
-    online.epsilon = 0.1;
-    online.min_predicted_ratio = 0.05;
-    online.regret_budget_seconds = 0.02 * db->DefaultTotal();
-    online.seed = args.seed;
-    engine.ConfigureServing(online);
-    engine.RefreshPredictions(/*force=*/true);
-    engine.Publish();
+    if (args.shards >= 1) {
+      core::ShardedTierOptions tier_options;
+      tier_options.num_shards = args.shards;
+      tier_options.online = online;
+      tier_options.shared_train_plane = args.shared_train;
+      tier_options.executor.workers = threads;
+      make_predictors(args.shards);
+      if (!args.restore.empty()) {
+        // The tier manifest is authoritative for the shard count and the
+        // row->shard assignment; --shards only shapes a cold start.
+        StatusOr<std::unique_ptr<core::ShardedServingTier>> restored =
+            core::ShardedServingTier::RestoreFromDirectory(
+                args.restore, predictor_ptrs, tier_options);
+        if (restored.ok()) {
+          tier = std::move(*restored);
+          std::printf(
+              "fleet restart from %s: %d shards, %d rows, serving seq %llu, "
+              "regret spent %.2f s\n",
+              args.restore.c_str(), tier->num_shards(), tier->num_queries(),
+              static_cast<unsigned long long>(tier->scheduled_servings()),
+              tier->regret_spent());
+        } else {
+          std::fprintf(stderr,
+                       "tier checkpoints unusable (%s); starting cold\n",
+                       restored.status().ToString().c_str());
+        }
+      }
+      if (tier == nullptr) {
+        make_predictors(args.shards);  // untouched by a failed restore
+        tier = std::make_unique<core::ShardedServingTier>(
+            explorer.matrix(), predictor_ptrs, tier_options);
+      }
+      tier->RefreshAll(/*force=*/true);
+      tier->PublishAll();
+    } else {
+      make_predictors(1);
+      engine.SetPredictor(predictor_ptrs[0]);
+      engine.ConfigureServing(online);
+      engine.RefreshPredictions(/*force=*/true);
+      engine.Publish();
+    }
 
     const double before_serving = explorer.WorkloadLatency();
     const auto t0 = std::chrono::steady_clock::now();
     const int epoch_len = online.refresh_every;
     // A warm restart resumes the serving sequence where the checkpoint
-    // left off; a fresh engine starts at 0.
-    const uint64_t base = engine.drained_servings();
+    // left off; a fresh engine or fleet starts at 0.
+    const uint64_t base =
+        tier ? tier->scheduled_servings() : engine.drained_servings();
     // Serving faults retry up to max_retries attempts, then degrade to the
     // default hint — reported non-exploratory with zero regret, so fault
     // cost never touches the exploration ledger. The counters are atomics
@@ -490,30 +417,51 @@ int Run(const Args& args) {
          epoch += epoch_len) {
       const uint64_t end =
           std::min<uint64_t>(base + args.serve, epoch + epoch_len);
-      engine.ServeEpochResolved(epoch, end, threads, resolve);
-      if (!checkpoint_path.empty()) {
-        // Epoch boundaries are op boundaries: the drained matrix, the
-        // ledger, and the published snapshot agree, so the checkpoint is
-        // warm-restartable bitwise (tests/engine_checkpoint_test.cc).
-        Status st = core::SaveEngineCheckpointToFile(engine.MakeCheckpoint(),
-                                                     checkpoint_path);
-        if (!st.ok()) {
-          std::fprintf(stderr, "checkpoint failed: %s\n",
-                       st.ToString().c_str());
-          return 2;
+      // Epoch boundaries are op boundaries: the drained matrices, the
+      // ledgers, and the published snapshots agree, so each checkpoint is
+      // warm-restartable bitwise (tests/engine_checkpoint_test.cc), and a
+      // fleet's shard checkpoints plus tier manifest reassemble through
+      // RestoreFromDirectory (tests/shard_router_test.cc).
+      Status st;
+      if (tier != nullptr) {
+        tier->ServeSchedule(epoch, end, threads, resolve);
+        if (!args.checkpoint_dir.empty()) {
+          st = tier->SaveCheckpoints(args.checkpoint_dir);
         }
+      } else {
+        engine.ServeEpochResolved(epoch, end, threads, resolve);
+        if (!checkpoint_path.empty()) {
+          st = core::SaveEngineCheckpointToFile(engine.MakeCheckpoint(),
+                                                checkpoint_path);
+        }
+      }
+      if (!st.ok()) {
+        std::fprintf(stderr, "%scheckpoint failed: %s\n",
+                     tier != nullptr ? "tier " : "", st.ToString().c_str());
+        return 2;
       }
     }
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    if (tier != nullptr) {
+      // Fold the merged reassembly back into the explorer so the final
+      // latency report and --save reflect what the fleet observed.
+      explorer.LoadMatrix(tier->MergedMatrix());
+      std::printf("served %d queries across %d shard(s)", args.serve,
+                  tier->num_shards());
+    } else {
+      std::printf("served %d queries", args.serve);
+    }
     std::printf(
-        "served %d queries on %d thread(s) in %.3f s (%.0f servings/s)\n"
+        " on %d thread(s) in %.3f s (%.0f servings/s)\n"
         "  workload latency %.0f s -> %.0f s, explorations: %d, regret "
         "spent: %.2f / %.2f s\n",
-        args.serve, threads, wall, args.serve / std::max(wall, 1e-9),
-        before_serving, explorer.WorkloadLatency(), engine.explorations(),
-        engine.regret_spent(), online.regret_budget_seconds);
+        threads, wall, args.serve / std::max(wall, 1e-9), before_serving,
+        explorer.WorkloadLatency(),
+        tier ? tier->explorations() : engine.explorations(),
+        tier ? tier->regret_spent() : engine.regret_spent(),
+        online.regret_budget_seconds);
     if (fault_spec.any()) {
       std::printf(
           "  fault world '%s': %ld failed serving attempts, %ld degraded "
@@ -522,7 +470,7 @@ int Run(const Args& args) {
           serve_fallbacks.load());
     }
     // The predictor is block-scoped; detach it before it goes away.
-    engine.SetPredictor(nullptr);
+    if (tier == nullptr) engine.SetPredictor(nullptr);
   }
 
   if (!args.save.empty()) {
