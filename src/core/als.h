@@ -2,6 +2,7 @@
 #define LIMEQO_CORE_ALS_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "core/completer.h"
 
@@ -97,20 +98,41 @@ class AlsCompleter : public Completer {
   StatusOr<linalg::Matrix> Complete(const WorkloadMatrix& w) override;
 
   /// Warm-started completion (the Completer warm-start contract): seeds the
-  /// alternating solve from `factors` when their shapes are compatible —
-  /// same rank, same hint count, and at most as many query rows as `w`
-  /// (rows that arrived since the last fit get a fresh random
-  /// initialization) — and writes the refit factors back. Combined with
+  /// alternating solve from `factors` when they are compatible — same
+  /// rank, same hint count, at most as many query rows as `w` (rows that
+  /// arrived since the last fit get a fresh random initialization), and
+  /// neither factor all zero (zero is a fixed point of the alternation, so
+  /// collapsed factors would never recover) — and writes the refit factors
+  /// back. Combined with
   /// AlsOptions::convergence_tol this is what makes incremental refreshes
   /// cheap: a warm start enters the alternating loop near the fixed point
   /// and exits after a few sweeps.
   StatusOr<linalg::Matrix> CompleteFrom(const WorkloadMatrix& w,
                                         CompletionFactors* factors) override;
 
+  /// The CompleteFrom fit as a resumable job (Completer::StartCompletion):
+  /// this call reads `w` and `warm` into the fit problem, and each
+  /// CompletionJob::Advance then runs whole phases (one alternating sweep,
+  /// or the output pass) until about kSliceMultiplyAdds of work are done.
+  /// Complete and CompleteFrom run this same job to completion, so the
+  /// finished result is bitwise theirs. The job fits in the completer's
+  /// own scratch, never in a borrowed arena (SetArena), because it may be
+  /// advanced from a different thread on each train step; on Finish it
+  /// updates query_factors(), hint_factors() and last_iterations().
+  std::unique_ptr<CompletionJob> StartCompletion(
+      const WorkloadMatrix& w, const CompletionFactors* warm) override;
+
+  /// Work budget of one CompletionJob::Advance slice, in multiply-adds: a
+  /// slice ends at the first phase boundary past it. A JOB-sized (113 x 49)
+  /// warm refit fits in one slice; a 1566 x 49 rank-5 sweep is one slice on
+  /// its own (~0.4 ms).
+  static constexpr double kSliceMultiplyAdds = 1 << 20;
+
   std::string name() const override { return "ALS"; }
 
   /// Borrows `arena` for the fill / factor-update / Gram-Cholesky buffers
-  /// of subsequent completions (nullptr reverts to private buffers). See
+  /// of subsequent Complete and CompleteFrom calls (nullptr reverts to
+  /// private buffers; StartCompletion jobs always use the latter). See
   /// Completer::SetArena for the ownership contract; results are bitwise
   /// identical either way because every buffer is fully overwritten before
   /// use.
@@ -130,8 +152,8 @@ class AlsCompleter : public Completer {
   int last_iterations() const { return last_iterations_; }
 
  private:
-  StatusOr<linalg::Matrix> CompleteInternal(const WorkloadMatrix& w,
-                                            const CompletionFactors* warm);
+  /// One completion, from the matrix read to the output pass (als.cc).
+  class Fit;
 
   AlsOptions options_;
   linalg::Matrix q_;

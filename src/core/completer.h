@@ -1,7 +1,9 @@
 #ifndef LIMEQO_CORE_COMPLETER_H_
 #define LIMEQO_CORE_COMPLETER_H_
 
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 #include "core/workload_matrix.h"
@@ -37,10 +39,10 @@ struct CompletionFactors {
 /// arena-backed completion is bitwise identical to one using private
 /// buffers — the arena only removes the per-call allocations. Ownership
 /// model: a completer holds at most a *borrowed* arena (SetArena) and the
-/// borrower serializes use — the shared train executor keeps one arena per
-/// worker thread and installs it into whichever shard's completer that
-/// worker is currently refitting, so a fleet of N shards warms one set of
-/// buffers per worker instead of N private copies.
+/// borrower serializes use — the shared train executor installs one arena
+/// per thread into whichever shard's completer that thread is running a
+/// whole barrier refit for. A resumable job (StartCompletion) spans train
+/// steps on any thread, so it never borrows one.
 struct CompletionArena {
   /// Dense fill buffer W-hat (n x k); re-sized by the first fill of a job.
   linalg::Matrix w_hat;
@@ -51,6 +53,64 @@ struct CompletionArena {
   /// Sweep-kernel scratch shared by every fill and ridge solve of the job.
   linalg::SweepWorkspace sweep;
 };
+
+/// One completion as a resumable job: started from a matrix and a warm
+/// state, advanced one bounded slice at a time, and finished into the
+/// estimate and its factor state. The job reads the matrix only when it
+/// starts, so the caller may keep changing the matrix between slices; the
+/// result is bitwise what a whole CompleteFrom returns on the matrix and
+/// factors the job started from. The train plane drives its refits this
+/// way (ExplorationEngine::TrainStep), so a long fit no longer holds the
+/// observation drain for its whole length.
+class CompletionJob {
+ public:
+  virtual ~CompletionJob() = default;
+
+  /// Runs the next slice. Returns true once the fit has finished (further
+  /// calls do nothing and return true).
+  virtual bool Advance() = 0;
+
+  /// The finished fit: the estimate, or the error that ended it. On
+  /// success the fit's factor state is written into `factors` (when
+  /// non-null), per the Completer::CompleteFrom contract. Call once, after
+  /// Advance returned true.
+  virtual StatusOr<linalg::Matrix> Finish(CompletionFactors* factors) = 0;
+};
+
+/// A job that finished when it started: what the default StartCompletion
+/// and Predictor::StartRefit hooks return for models that fit whole.
+class FinishedCompletionJob final : public CompletionJob {
+ public:
+  FinishedCompletionJob(StatusOr<linalg::Matrix> result,
+                        CompletionFactors factors)
+      : result_(std::move(result)), factors_(std::move(factors)) {}
+
+  bool Advance() override { return true; }
+
+  /// Hands over the result and the factor state the whole fit left behind
+  /// (written back even on failure, as a whole CompleteFrom would have).
+  StatusOr<linalg::Matrix> Finish(CompletionFactors* factors) override {
+    if (factors != nullptr) *factors = std::move(factors_);
+    return std::move(result_);
+  }
+
+ private:
+  StatusOr<linalg::Matrix> result_;
+  CompletionFactors factors_;
+};
+
+/// Runs `fit(factors)`, a whole warm-started fit with the CompleteFrom
+/// signature, on a copy of `warm` (nullptr: a cold fit) and wraps the
+/// outcome into a finished job, so the caller's factors stay untouched
+/// until it calls Finish.
+template <typename Fit>
+std::unique_ptr<CompletionJob> RunAsFinishedJob(const CompletionFactors* warm,
+                                                Fit&& fit) {
+  CompletionFactors factors = warm != nullptr ? *warm : CompletionFactors();
+  StatusOr<linalg::Matrix> result = fit(warm != nullptr ? &factors : nullptr);
+  return std::make_unique<FinishedCompletionJob>(std::move(result),
+                                                 std::move(factors));
+}
 
 /// A matrix-completion algorithm: estimates the full workload matrix W-hat
 /// from the partial observations in a WorkloadMatrix. Implementations:
@@ -85,6 +145,19 @@ class Completer {
                                                 CompletionFactors* factors) {
     if (factors != nullptr) factors->clear();
     return Complete(w);
+  }
+
+  /// Starts CompleteFrom(w, warm) as a resumable job (see CompletionJob):
+  /// `w` and `warm` are read before this returns and never again. At most
+  /// one completion per completer runs at a time: finish or destroy a
+  /// started job before the next Complete, CompleteFrom or StartCompletion
+  /// call. The base implementation runs the whole CompleteFrom now and
+  /// returns a finished job.
+  virtual std::unique_ptr<CompletionJob> StartCompletion(
+      const WorkloadMatrix& w, const CompletionFactors* warm) {
+    return RunAsFinishedJob(warm, [&](CompletionFactors* factors) {
+      return CompleteFrom(w, factors);
+    });
   }
 
   /// Installs (or, with nullptr, removes) a borrowed scratch arena for

@@ -364,21 +364,49 @@ void ExplorationEngine::ApplyObservation(const ServingObservation& obs) {
   }
 }
 
+namespace {
+
+uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+}  // namespace
+
 bool ExplorationEngine::TryRefit() {
   if (predictor_ == nullptr) return false;
+  // A whole refit reads today's matrix, so a sliced one still in flight
+  // (started on an older matrix) could only install staler predictions.
+  refit_job_.reset();
   const auto refit_start = std::chrono::steady_clock::now();
   StatusOr<linalg::Matrix> prediction = predictor_->PredictFrom(
       matrix_, options_.warm_start ? &factors_ : nullptr);
-  refit_nanos_.fetch_add(
-      static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - refit_start)
-                                .count()),
-      std::memory_order_relaxed);
+  refit_nanos_.fetch_add(NanosSince(refit_start), std::memory_order_relaxed);
+  return InstallRefit(std::move(prediction), updates_since_refresh_);
+}
+
+bool ExplorationEngine::AdvanceRefit() {
+  const auto slice_start = std::chrono::steady_clock::now();
+  const bool finished = refit_job_->Advance();
+  refit_nanos_.fetch_add(NanosSince(slice_start), std::memory_order_relaxed);
+  if (!finished) return false;
+  const std::unique_ptr<CompletionJob> job = std::move(refit_job_);
+  return InstallRefit(
+      job->Finish(options_.warm_start ? &factors_ : nullptr),
+      refit_updates_at_start_);
+}
+
+bool ExplorationEngine::InstallRefit(StatusOr<linalg::Matrix> prediction,
+                                     int updates_at_start) {
   if (!prediction.ok()) return false;
   refits_completed_.fetch_add(1, std::memory_order_relaxed);
   predictions_ = std::make_shared<const linalg::Matrix>(
       std::move(prediction).value());
-  updates_since_refresh_ = 0;
+  // The fit saw the matrix as it was when it started; updates drained
+  // since (a sliced refit's) still count toward the next refresh.
+  updates_since_refresh_ -= updates_at_start;
   // Refits happen on the compaction cadence (refresh_every), so they are
   // the natural point to fold the delta overlay back into a fresh base.
   InvalidateSnapshotBase();
@@ -425,11 +453,14 @@ void ExplorationEngine::Publish() {
                             int* best_unobserved, double* best_unobserved_pred,
                             int* unobserved_count) {
     const int best = rule.ChooseHint(q);
+    const CellState* row = matrix_.row_states(q);
+    const double* row_values =
+        matrix_.values().data() + static_cast<size_t>(q) * k;
     *verified_best = best;
-    *verified_latency = matrix_.IsComplete(q, best)
-                            ? matrix_.observed(q, best)
+    *verified_latency = row[best] == CellState::kComplete
+                            ? row_values[best]
                             : std::numeric_limits<double>::infinity();
-    for (int j = 0; j < k; ++j) states[j] = matrix_.state(q, j);
+    std::copy(row, row + k, states);
     const HintScan scan = ScanHintRow(
         states,
         pred_rows != nullptr ? pred_rows + static_cast<size_t>(q) * k
@@ -555,6 +586,7 @@ EngineCheckpoint ExplorationEngine::MakeCheckpoint() const {
 
 void ExplorationEngine::RestoreFromCheckpoint(EngineCheckpoint c) {
   LIMEQO_CHECK(!training_);
+  refit_job_.reset();
   matrix_ = std::move(c.matrix);
   factors_ = std::move(c.factors);
   if (c.have_predictions) {
@@ -615,6 +647,7 @@ Status ExplorationEngine::SaveCheckpoint() {
 
 void ExplorationEngine::BeginTrainSteps() {
   step_ = TrainStepState{};
+  refit_job_.reset();
   step_.published_seen = drained_seq_.load(std::memory_order_relaxed);
   step_.checkpointed_seen = drained_seq_.load(std::memory_order_relaxed);
   // NumComplete is an O(n*k) scan — evaluate it once, then remember: every
@@ -643,32 +676,46 @@ bool ExplorationEngine::TrainStep() {
   if (drained > 0) step_.has_complete = true;
   const uint64_t seen = drained_seq_.load(std::memory_order_relaxed);
   // The refit_after_seq mark: the next refit may not start before the
-  // drain front passes it — everything in flight when the previous refit
-  // finished must land first. Under light load the mark is always behind
+  // drain front passes it — everything claimed when the previous refit
+  // installed must land first. Under light load the mark is always behind
   // the front (refits run on the refresh_every cadence); under saturation
-  // it amortizes one refit per queue-capacity's worth of servings, so a
-  // slow model can never starve the drain-and-publish path — on a loaded
-  // box the serving plane keeps its throughput and the model refreshes as
-  // fast as it can keep up, which is the Bao-style advisor-loop behaviour.
+  // it waits out the backlog claimed at the install, and the model
+  // refreshes as fast as it can keep up, which is the Bao-style
+  // advisor-loop behaviour. The mark does not keep a slow model from
+  // holding the drain; slicing the refit (below) does.
   const bool due =
       predictor_ != nullptr && seen >= step_.refit_after_seq &&
       (updates_since_refresh_ >= options_.online.refresh_every ||
        (predictions_ == nullptr && step_.has_complete));
-  bool refreshed = false;
-  // A failing refit (no predictor, no usable observations, a plan-less
-  // backend) must not retrigger until new observations arrive: without
-  // the attempt marker the loop degenerates into a refit-and-publish
-  // storm that pins a core and forces every serving thread through the
-  // snapshot handoff on every serving.
-  if (due && seen != step_.drained_at_last_attempt) {
+  // A refit runs as a job, one bounded slice per step (for ALS about 2^20
+  // multiply-adds: one sweep of a 1566 x 49 rank-5 shard, ~0.4 ms), so the
+  // drain above runs between slices and the servers keep reporting. A
+  // whole refit here would hold the drain for its whole length: on a
+  // 2-shard CEB-sized fleet the servers fill their shard's queue during
+  // a ~3.5 ms refit and park. The job owns everything it fits with;
+  // the matrix it read at its start may keep changing, and the installed
+  // predictions and factors change only when it finishes.
+  if (refit_job_ == nullptr && due &&
+      seen != step_.drained_at_last_attempt) {
+    // A failing refit (no predictor, no usable observations, a plan-less
+    // backend) must not retrigger until new observations arrive: without
+    // the attempt marker the loop degenerates into a refit-and-publish
+    // storm that pins a core and forces every serving thread through the
+    // snapshot handoff on every serving.
     step_.drained_at_last_attempt = seen;
-    refreshed = TryRefit();
-    // Only a *completed* refit defers the next one behind the in-flight
-    // backlog; a failed attempt may retry as soon as new observations
-    // drain (drained_at_last_attempt already prevents failure storms).
-    if (refreshed) {
-      step_.refit_after_seq = next_seq_.load(std::memory_order_relaxed);
-    }
+    const auto start = std::chrono::steady_clock::now();
+    refit_updates_at_start_ = updates_since_refresh_;
+    refit_job_ = predictor_->StartRefit(
+        matrix_, options_.warm_start ? &factors_ : nullptr);
+    refit_nanos_.fetch_add(NanosSince(start), std::memory_order_relaxed);
+  }
+  const bool sliced = refit_job_ != nullptr;
+  const bool refreshed = sliced && AdvanceRefit();
+  // Only a *completed* refit defers the next one behind the in-flight
+  // backlog; a failed attempt may retry as soon as new observations drain
+  // (drained_at_last_attempt already prevents failure storms).
+  if (refreshed) {
+    step_.refit_after_seq = next_seq_.load(std::memory_order_relaxed);
   }
   // Publication is cadence-granular (publish_every drained observations
   // or a successful refit), not per-drain: even a delta snapshot is an
@@ -702,10 +749,13 @@ bool ExplorationEngine::TrainStep() {
     step_.checkpointed_seen = seen;
     checkpointed = true;
   }
-  return drained > 0 || refreshed || published || checkpointed;
+  return drained > 0 || sliced || published || checkpointed;
 }
 
 void ExplorationEngine::FinishTrainSteps() {
+  // A refit in flight fitted an older matrix than the one the drain below
+  // leaves; drop it, and let the sync refit today's matrix when due.
+  refit_job_.reset();
   // Flush whatever the steps had not picked up and leave a current
   // snapshot.
   SyncEpoch();
@@ -749,6 +799,9 @@ void ExplorationEngine::Clear(int query, int hint) {
 }
 
 int ExplorationEngine::AppendQueries(int count) {
+  // A refit in flight fits the old shape, whose predictions could not be
+  // served on the grown matrix.
+  refit_job_.reset();
   const int first = matrix_.AppendQueries(count);
   row_regret_.resize(static_cast<size_t>(matrix_.num_queries()), 0.0);
   row_explorations_.resize(static_cast<size_t>(matrix_.num_queries()), 0);
@@ -861,6 +914,7 @@ void ExplorationEngine::RestoreRowLedgerSlice(int query, double regret,
 void ExplorationEngine::InvalidateModel() {
   factors_.clear();
   predictions_.reset();
+  refit_job_.reset();
   updates_since_refresh_ = 0;
   if (predictor_ != nullptr) predictor_->Reset();
 }

@@ -322,6 +322,7 @@ class ExplorationEngine {
     predictor_ = predictor;
     factors_.clear();
     predictions_.reset();
+    refit_job_.reset();
     updates_since_refresh_ = 0;
   }
 
@@ -420,9 +421,10 @@ class ExplorationEngine {
   size_t Drain(size_t max_observations = kDrainAll);
   /// Re-runs the completion model when predictions are stale (never ran,
   /// refresh_every matrix updates ago, or the matrix grew). Warm-starts
-  /// from the previous factors when enabled. Returns true when usable
-  /// predictions are available afterwards. `force` refits regardless of
-  /// staleness.
+  /// from the previous factors when enabled. The refit runs whole, and it
+  /// supersedes a sliced refit still in flight from TrainStep. Returns true
+  /// when usable predictions are available afterwards. `force` refits
+  /// regardless of staleness.
   bool RefreshPredictions(bool force = false);
   /// Builds a ServingSnapshot from the train-plane state — a delta overlay
   /// over the persistent base when possible, a full base rebuild on refit /
@@ -452,29 +454,39 @@ class ExplorationEngine {
   /// shared cross-shard TrainExecutor) can drive many engines' train
   /// planes from one thread pool: BeginTrainSteps initializes the stepping
   /// state, then each TrainStep call runs exactly one iteration of the
-  /// loop body — drain (capped at one queue lap), refit when due, publish
-  /// on cadence, checkpoint on cadence — with no sleeping. The in-house
-  /// StartTraining thread is literally BeginTrainSteps + TrainStep in a
-  /// loop, so the two drivers execute identical per-step behaviour.
-  /// Train-plane method: steps for one engine must be serialized, though
-  /// consecutive steps may run on different threads (the scheduler's
-  /// claim/release handoff provides the ordering).
+  /// loop body — drain (capped at one queue lap), one slice of the refit
+  /// in flight (starting one when due), publish on cadence, checkpoint on
+  /// cadence — with no sleeping. The in-house StartTraining thread is
+  /// literally BeginTrainSteps + TrainStep in a loop, so the two drivers
+  /// execute identical per-step behaviour. Train-plane method: steps for
+  /// one engine must be serialized, though consecutive steps may run on
+  /// different threads (the scheduler's claim/release handoff provides the
+  /// ordering).
   void BeginTrainSteps();
-  /// One train-loop iteration (see BeginTrainSteps). Returns true when the
-  /// step made progress — drained observations, refitted, published, or
-  /// wrote a checkpoint — and false when the engine was idle, so a
-  /// scheduler can park idle engines instead of spinning on them.
+  /// One train-loop iteration (see BeginTrainSteps). A refit is a
+  /// resumable job (Predictor::StartRefit): it reads the matrix and the
+  /// warm factors in the step that starts it, each step advances it by one
+  /// bounded slice, and it installs its predictions and factors together,
+  /// with a full snapshot rebuild, in the step where it finishes. Until
+  /// then the engine keeps serving, checkpointing and warm-starting from
+  /// the installed pair, and the drain runs between slices. Returns true
+  /// when the step made progress — drained observations, advanced a refit,
+  /// published, or wrote a checkpoint — and false when the engine was
+  /// idle, so a scheduler can park idle engines instead of spinning on
+  /// them.
   bool TrainStep();
-  /// The shutdown tail of the train plane: drains everything left,
-  /// refreshes, publishes a final snapshot, and (when configured) writes a
-  /// final checkpoint — exactly what StopTraining does after joining its
-  /// thread. External drivers call this once per engine when tearing the
-  /// shared train plane down.
+  /// The shutdown tail of the train plane: drops a sliced refit still in
+  /// flight, drains everything left, refreshes, publishes a final
+  /// snapshot, and (when configured) writes a final checkpoint — exactly
+  /// what StopTraining does after joining its thread. External drivers
+  /// call this once per engine when tearing the shared train plane down.
   void FinishTrainSteps();
   /// Installs a borrowed completion-scratch arena into the predictor (per
-  /// Predictor::SetCompletionArena; no-op without a predictor). The shared
-  /// train executor points this at the claiming worker's arena before each
-  /// step so refit scratch is pooled per worker, not per shard.
+  /// Predictor::SetCompletionArena; no-op without a predictor). It serves
+  /// whole refits only (RefreshPredictions, SyncEpoch): the shared train
+  /// executor lends a worker's arena around the barrier refits it runs.
+  /// A sliced refit spans steps that may run on different workers, so its
+  /// job fits in the model's own scratch from start to install.
   void SetCompletionArena(CompletionArena* arena) {
     if (predictor_ != nullptr) predictor_->SetCompletionArena(arena);
   }
@@ -572,6 +584,8 @@ class ExplorationEngine {
   int updates_since_refresh() const { return updates_since_refresh_; }
   /// Warm-start factor state (empty when cold or disabled).
   const CompletionFactors& warm_factors() const { return factors_; }
+  /// True while a sliced refit started by TrainStep has not installed yet.
+  bool refit_in_flight() const { return refit_job_ != nullptr; }
 
   // --- Ledgers (atomic; readable from any thread) --------------------------
   /// Cumulative regret charged by exploratory servings, in seconds.
@@ -625,13 +639,14 @@ class ExplorationEngine {
   /// Train-plane servings applied to `query` so far (the per-row traffic
   /// weight; travels with the row on migration). Train-plane view.
   uint64_t row_servings(int query) const { return row_servings_[query]; }
-  /// Successful refits completed so far (TryRefit with a usable fit).
+  /// Successful refits installed so far (whole or sliced).
   uint64_t refits_completed() const {
     return refits_completed_.load(std::memory_order_relaxed);
   }
-  /// Wall-clock nanoseconds spent inside refit attempts (successful or
-  /// not). refit_nanos() / refits_completed() is the per-refit latency the
-  /// serving bench reports per shard.
+  /// Wall-clock nanoseconds spent fitting (successful refits or not): whole
+  /// refits plus every slice of the sliced ones, but not the drains and
+  /// publications between slices. refit_nanos() / refits_completed() is
+  /// the per-refit fit work the serving bench reports per shard.
   uint64_t refit_nanos() const {
     return refit_nanos_.load(std::memory_order_relaxed);
   }
@@ -657,10 +672,17 @@ class ExplorationEngine {
 
   void ApplyObservation(const ServingObservation& obs);
   void TrainLoop();
-  /// Refits unconditionally; true when the fit succeeded (predictions_
-  /// replaced, staleness counter reset). A successful refit schedules a
-  /// full snapshot-base rebuild for the next Publish.
+  /// Refits unconditionally and whole, dropping a sliced refit in flight;
+  /// true when the fit succeeded (see InstallRefit).
   bool TryRefit();
+  /// Runs one slice of refit_job_ and installs its result when it
+  /// finishes; true when a successful fit was installed.
+  bool AdvanceRefit();
+  /// Installs a finished fit's predictions (the caller has already written
+  /// its factors) when it succeeded, counting only the matrix updates made
+  /// after the fit read the matrix (`updates_at_start` of them were not),
+  /// and schedules a full snapshot-base rebuild for the next Publish.
+  bool InstallRefit(StatusOr<linalg::Matrix> prediction, int updates_at_start);
   /// Marks one row changed since the snapshot base was built; the next
   /// Publish ships it in the delta overlay.
   void MarkRowDirty(int query);
@@ -686,6 +708,12 @@ class ExplorationEngine {
   std::shared_ptr<const linalg::Matrix> predictions_;
   int updates_since_refresh_ = 0;
   CompletionFactors factors_;
+  // The sliced refit in flight (TrainStep), null between refits; it owns
+  // its fit state, so predictions_ and factors_ stay the installed pair
+  // until it finishes. refit_updates_at_start_ is updates_since_refresh_
+  // when it read the matrix.
+  std::unique_ptr<CompletionJob> refit_job_;
+  int refit_updates_at_start_ = 0;
 
   // Ledgers: written by the train plane, read anywhere.
   std::atomic<double> regret_spent_{0.0};

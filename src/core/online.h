@@ -22,15 +22,22 @@ class OnlineOptimizer {
   }
 
   /// Hint to execute `query` with: the best verified hint, else 0 (default).
+  /// Reads the row through its state and value slices (one bounds check
+  /// per call, not two per cell): the snapshot builder runs this for every
+  /// row of a full publication.
   int ChooseHint(int query) const {
     const WorkloadMatrix& w = *matrix_;
-    if (!w.IsComplete(query, 0)) return 0;  // default never measured: serve it
-    const double default_latency = w.observed(query, 0);
+    LIMEQO_CHECK(query >= 0 && query < w.num_queries());
+    const CellState* states = w.row_states(query);
+    // Default never measured: serve it.
+    if (states[0] != CellState::kComplete) return 0;
+    const double* values =
+        w.values().data() + static_cast<size_t>(query) * w.values().cols();
     int best = 0;
-    double best_latency = default_latency;
+    double best_latency = values[0];
     for (int j = 1; j < w.num_hints(); ++j) {
-      if (w.IsComplete(query, j) && w.observed(query, j) < best_latency) {
-        best_latency = w.observed(query, j);
+      if (states[j] == CellState::kComplete && values[j] < best_latency) {
+        best_latency = values[j];
         best = j;
       }
     }

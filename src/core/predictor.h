@@ -30,6 +30,20 @@ class Predictor {
     return Predict(w);
   }
 
+  /// Starts PredictFrom(w, warm) as a resumable job for the train plane's
+  /// sliced refits (ExplorationEngine::TrainStep), per the
+  /// Completer::StartCompletion contract: `w` and `warm` are read before
+  /// this returns, and the job's factor state reaches the caller only at
+  /// CompletionJob::Finish. The base implementation runs the whole
+  /// PredictFrom now and returns a finished job, which is right for models
+  /// that fit whole (the retained TCNN, decorators around PredictFrom).
+  virtual std::unique_ptr<CompletionJob> StartRefit(
+      const WorkloadMatrix& w, const CompletionFactors* warm) {
+    return RunAsFinishedJob(warm, [&](CompletionFactors* factors) {
+      return PredictFrom(w, factors);
+    });
+  }
+
   /// Drops any training state the model carries across Predict calls. The
   /// train plane calls this on a data shift so that nothing fitted on the
   /// old data leaks into post-shift predictions. The base implementation
@@ -62,6 +76,11 @@ class CompleterPredictor : public Predictor {
   StatusOr<linalg::Matrix> PredictFrom(const WorkloadMatrix& w,
                                        CompletionFactors* factors) override {
     return completer_->CompleteFrom(w, factors);
+  }
+
+  std::unique_ptr<CompletionJob> StartRefit(
+      const WorkloadMatrix& w, const CompletionFactors* warm) override {
+    return completer_->StartCompletion(w, warm);
   }
 
   std::string name() const override { return completer_->name(); }

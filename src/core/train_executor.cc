@@ -42,12 +42,12 @@ void TrainExecutor::Start(std::vector<ExplorationEngine*> engines) {
   }
   const int workers =
       std::max(1, std::min(options_.workers, static_cast<int>(engines.size())));
-  arenas_ = std::vector<CompletionArena>(static_cast<size_t>(workers));
+  const int budget = PerJobBudget(workers);
   stop_.store(false, std::memory_order_relaxed);
   running_ = true;
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this, budget] { WorkerLoop(budget); });
   }
 }
 
@@ -66,10 +66,11 @@ void TrainExecutor::Stop() {
   }
   // Serial finish with the full budget: no concurrent jobs remain (the
   // workers are joined), so each shard's final drain / refresh / publish /
-  // checkpoint may use the whole pool. arenas_[0] keeps the pooled buffers
-  // warm across the fleet.
+  // checkpoint may use the whole pool. Its refits run whole, so one arena
+  // serves the fleet.
+  CompletionArena arena;
   for (ExplorationEngine* engine : engines) {
-    engine->SetCompletionArena(&arenas_[0]);
+    engine->SetCompletionArena(&arena);
     engine->FinishTrainSteps();
     engine->SetCompletionArena(nullptr);
   }
@@ -107,9 +108,7 @@ ExplorationEngine* TrainExecutor::ClaimHottest(int* idx,
   return slots_[static_cast<size_t>(best)].engine;
 }
 
-void TrainExecutor::WorkerLoop(int worker) {
-  CompletionArena& arena = arenas_[static_cast<size_t>(worker)];
-  const int budget = PerJobBudget(static_cast<int>(arenas_.size()));
+void TrainExecutor::WorkerLoop(int budget) {
   while (!stop_.load(std::memory_order_relaxed)) {
     int idx = -1;
     uint64_t pre_step_claimed = 0;
@@ -122,13 +121,14 @@ void TrainExecutor::WorkerLoop(int worker) {
           std::chrono::microseconds(options_.idle_sleep_us));
       continue;
     }
-    engine->SetCompletionArena(&arena);
+    // No arena is lent here: a step may advance a sliced refit that the
+    // next step continues on another worker, so the refit's job fits in
+    // the shard's own scratch from start to install.
     bool progress;
     {
       ScopedParallelBudget parallel_budget(budget);
       progress = engine->TrainStep();
     }
-    engine->SetCompletionArena(nullptr);
     steps_executed_.fetch_add(1, std::memory_order_relaxed);
     MutexLock lock(mu_);
     ShardSlot& slot = slots_[static_cast<size_t>(idx)];

@@ -52,11 +52,14 @@ struct TrainExecutorOptions {
 /// during the step is never missed). The +1 base score gives a freshly
 /// unparked shard exactly one probe step even when its counters read zero.
 ///
-/// Refit scratch: every worker owns a CompletionArena installed into the
-/// engine for the duration of its job, so Gram / Cholesky / factor-update
-/// buffers are pooled per worker (live refits), not per shard. Every job
-/// also runs under a ScopedParallelBudget so the fleet's total linalg
-/// fan-out is bounded by TrainExecutorOptions::linalg_threads.
+/// Refit scratch: a live step may advance a sliced refit (see
+/// ExplorationEngine::TrainStep) that the shard's next step continues on
+/// another worker, so live refits fit in each shard's own scratch from
+/// start to install. Only the refits that run whole — the SyncEpochAll
+/// barrier and Stop's finish — borrow a CompletionArena, one per thread
+/// running them. Every job also runs under a ScopedParallelBudget so the
+/// fleet's total linalg fan-out is bounded by
+/// TrainExecutorOptions::linalg_threads.
 ///
 /// Determinism: a shard's refit remains a pure function of its own drained
 /// prefix — the executor changes only *when* steps run and on which thread,
@@ -94,7 +97,7 @@ class TrainExecutor {
 
   /// Epoch barrier for a fleet that is *not* free-running: SyncEpoch on
   /// every engine, hottest first, spread over up to `workers` transient
-  /// threads with the same per-job arena and budget as live jobs. Safe to
+  /// threads, each with its own arena and the live jobs' budget. Safe to
   /// call on a stopped executor (the scenario epoch path does). Bitwise
   /// equal to a serial SyncEpoch loop: shards are disjoint, each shard's
   /// sync is a pure function of its own state, and the kernels are
@@ -133,7 +136,9 @@ class TrainExecutor {
   ExplorationEngine* ClaimHottest(int* idx, uint64_t* pre_step_claimed)
       EXCLUDES(mu_);
 
-  void WorkerLoop(int worker);
+  /// Claims and steps shards until Stop, each step under a
+  /// ScopedParallelBudget of `budget` threads.
+  void WorkerLoop(int budget);
 
   /// Per-job ParallelFor budget when `workers` jobs may run concurrently.
   int PerJobBudget(int workers) const;
@@ -142,10 +147,6 @@ class TrainExecutor {
 
   Mutex mu_;
   std::vector<ShardSlot> slots_ GUARDED_BY(mu_);
-
-  /// One refit-scratch arena per worker (pooled across all the shards that
-  /// worker ever steps), plus arenas_[0] reused by Stop's serial finish.
-  std::vector<CompletionArena> arenas_;
 
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_{false};

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -253,6 +254,61 @@ TEST(AlsTest, LogRatioPredictionsArePositive) {
   ASSERT_TRUE(est.ok());
   for (size_t i = 0; i < est->size(); ++i) {
     EXPECT_GT(est->data()[i], 0.0);
+  }
+}
+
+double SquaredNorm(const linalg::Matrix& m) {
+  double sum = 0.0;
+  for (size_t c = 0; c < m.size(); ++c) sum += m.data()[c] * m.data()[c];
+  return sum;
+}
+
+// A log-ratio fit on a defaults-only matrix collapses to zero factors: the
+// row biases absorb every target, and zero is a fixed point of the
+// alternation. A warm refit must not start from that fixed point once
+// observations arrive, or the low-rank model stays dead (biases only) for
+// good.
+TEST(AlsTest, WarmRefitRecoversFromADefaultsOnlyFit) {
+  StatusOr<simdb::SimulatedDatabase> db =
+      workloads::MakeWorkload(workloads::WorkloadId::kJob, 1.0, 42);
+  ASSERT_TRUE(db.ok());
+  for (double tol : {0.0, 1e-3}) {
+    SCOPED_TRACE("convergence_tol " + std::to_string(tol));
+    AlsOptions opt;
+    opt.convergence_tol = tol;
+    WorkloadMatrix w(db->num_queries(), db->num_hints());
+    for (int i = 0; i < w.num_queries(); ++i) {
+      w.Observe(i, 0, db->TrueLatency(i, 0));
+    }
+    AlsCompleter warm_als(opt);
+    CompletionFactors factors;
+    ASSERT_TRUE(warm_als.CompleteFrom(w, &factors).ok());
+
+    Rng rng(3);
+    for (int i = 0; i < w.num_queries(); ++i) {
+      for (int j = 1; j < w.num_hints(); ++j) {
+        if (rng.Bernoulli(0.1)) w.Observe(i, j, db->TrueLatency(i, j));
+      }
+    }
+    StatusOr<linalg::Matrix> warm = warm_als.CompleteFrom(w, &factors);
+    ASSERT_TRUE(warm.ok());
+    EXPECT_GT(SquaredNorm(factors.query_factors), 1e-6);
+    EXPECT_GT(SquaredNorm(factors.hint_factors), 1e-6);
+
+    AlsCompleter cold_als(opt);
+    StatusOr<linalg::Matrix> cold = cold_als.Complete(w);
+    ASSERT_TRUE(cold.ok());
+    double log_gap = 0.0;
+    int cells = 0;
+    for (int i = 0; i < w.num_queries(); ++i) {
+      for (int j = 0; j < w.num_hints(); ++j) {
+        if (w.IsComplete(i, j)) continue;
+        log_gap += std::fabs(std::log((*warm)(i, j) / (*cold)(i, j)));
+        ++cells;
+      }
+    }
+    EXPECT_LT(log_gap / cells, 0.01)
+        << "mean |log(warm / cold)| over the unobserved cells";
   }
 }
 
@@ -580,6 +636,45 @@ TEST(AlsTest, CompletionIsBitwisePinned) {
           << pinned.config << ")";
     }
   }
+}
+
+// CompleteFrom is StartCompletion run to completion: a job sliced over
+// several Advance calls finishes bitwise equal to the whole fit on the
+// matrix it started from, even when that matrix changes between slices.
+TEST(AlsTest, SlicedCompletionMatchesCompleteFromBitwise) {
+  StatusOr<simdb::SimulatedDatabase> db =
+      workloads::MakeWorkload(workloads::WorkloadId::kCeb, 1.0, 42);
+  ASSERT_TRUE(db.ok());
+  WorkloadMatrix w = SeededWorkloadMatrix(*db, 5);
+  AlsOptions opt;
+  opt.convergence_tol = 1e-3;
+  AlsCompleter whole(opt);
+  CompletionFactors whole_factors;
+  ASSERT_TRUE(whole.CompleteFrom(w, &whole_factors).ok());
+  CompletionFactors warm = whole_factors;
+  StatusOr<linalg::Matrix> expected = whole.CompleteFrom(w, &whole_factors);
+  ASSERT_TRUE(expected.ok());
+
+  AlsCompleter sliced(opt);
+  std::unique_ptr<CompletionJob> job = sliced.StartCompletion(w, &warm);
+  int slices = 1;
+  while (!job->Advance()) {
+    w.Observe(slices % w.num_queries(), 1, 0.5);
+    ++slices;
+  }
+  EXPECT_GT(slices, 2) << "a 3133 x 49 fit should take several slices";
+  CompletionFactors factors;
+  StatusOr<linalg::Matrix> out = job->Finish(&factors);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->size(), expected->size());
+  EXPECT_EQ(std::memcmp(out->data(), expected->data(),
+                        out->size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(factors.query_factors.data(),
+                        whole_factors.query_factors.data(),
+                        factors.query_factors.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(sliced.last_iterations(), whole.last_iterations());
 }
 
 /// Low-rank diagnostics: a planted workload matrix has concentrated
